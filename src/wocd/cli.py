@@ -25,7 +25,7 @@ from .graph import (
     write_features,
 )
 from .metrics import metric_report
-from .model import FusionParams
+from .model import DegenerateProjectionError, FusionParams
 from .pseudo import PseudoConfig, construct_pseudo_labels, pseudo_coverage
 from .train import TrainConfig, run_pipeline
 
@@ -60,11 +60,13 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _build_config(args) -> TrainConfig:
-    base = {}
+    cfg = TrainConfig()
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    cfg = TrainConfig.from_dict(base) if base else TrainConfig()
+            try:
+                cfg = TrainConfig.from_dict(json.load(fh))
+            except (json.JSONDecodeError, TypeError) as exc:  # not JSON, or an unknown key
+                raise FormatError(f"config {args.config}: {exc}") from None
     fusion = {"alpha": cfg.fusion.alpha, "beta": cfg.fusion.beta, "gamma": cfg.fusion.gamma}
     pseudo = {"r_c": cfg.pseudo.r_c, "tau": cfg.pseudo.tau}
     plain = cfg.to_dict()
@@ -290,7 +292,7 @@ def main(argv=None) -> int:
     except (FormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except FloatingPointError as exc:
+    except (FloatingPointError, DegenerateProjectionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, IndexError) as exc:

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .graph import Graph
 
@@ -21,19 +22,32 @@ class CliqueRecord:
     members: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True)
 class CliqueSet:
-    cliques: list = field(default_factory=list)
-    member_index: dict = field(default_factory=dict)
+    """Weak cliques in extraction order.
+
+    Clique i is seeded at edge (seed_u[i], seed_v[i]); row i of the
+    clique x node CSR matrix ``incidence`` holds its members, with sorted
+    column indices and every stored value 1.
+    """
+
+    seed_u: np.ndarray
+    seed_v: np.ndarray
+    incidence: sp.csr_array
 
     def __len__(self) -> int:
-        return len(self.cliques)
+        return self.seed_u.size
 
-    def append(self, record: CliqueRecord) -> None:
-        idx = len(self.cliques)
-        self.cliques.append(record)
-        for v in record.members:
-            self.member_index.setdefault(int(v), []).append(idx)
+    @property
+    def cliques(self) -> tuple:
+        """The cliques as read-only ``CliqueRecord``s with int64 members."""
+        flat = self.incidence.indices.astype(np.int64)
+        flat.flags.writeable = False
+        members = np.split(flat, self.incidence.indptr[1:-1])
+        return tuple(
+            CliqueRecord(seed_u=u, seed_v=v, members=m)
+            for u, v, m in zip(self.seed_u.tolist(), self.seed_v.tolist(), members)
+        )
 
 
 def _check_node(graph: Graph, u: int) -> None:
@@ -78,6 +92,27 @@ def weak_clique(graph: Graph, u: int, v: int) -> CliqueRecord:
     return CliqueRecord(seed_u=u, seed_v=v, members=members)
 
 
+# rows of A @ A computed at once; bounds the product's memory at
+# O(ROW_BLOCK * n) instead of O(sum of squared degrees)
+ROW_BLOCK = 512
+
+
+def _slot_common(adj: sp.csr_array) -> np.ndarray:
+    """Common-neighbor count of every directed edge slot, in ``indices`` order.
+
+    The masked product (A @ A) o A, taken ROW_BLOCK rows at a time. Adding
+    the block itself keeps the slots of edges with no common neighbor, which
+    the elementwise product alone would drop.
+    """
+    out = np.empty(adj.nnz, dtype=np.int64)
+    for r0 in range(0, adj.shape[0], ROW_BLOCK):
+        blk = adj[r0:r0 + ROW_BLOCK]
+        counted = (blk @ adj) * blk + blk
+        counted.sort_indices()  # the product's rows come out unsorted
+        out[adj.indptr[r0]:adj.indptr[r0] + blk.nnz] = counted.data - 1
+    return out
+
+
 def identify_weak_cliques(graph: Graph) -> CliqueSet:
     """Greedy weak-clique extraction.
 
@@ -86,52 +121,50 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     neighbors stay eligible), records the weak clique, and retires both
     endpoints as future starting points. Ties break toward the smaller id.
     Isolated nodes are retired without emitting anything.
+
+    Work and memory are O(sum of squared degrees) and O(ROW_BLOCK * n) for
+    the common-neighbor counts; the rest is linear in the edge count.
     """
     n = graph.n_nodes
     indptr, indices = graph.indptr, graph.indices
+    adj = sp.csr_array((np.ones(indices.size, dtype=np.int32), indices, indptr), shape=(n, n))
+    slot_common = _slot_common(adj)
 
-    # per-directed-slot common-neighbor counts, reused for priorities and SI
-    slot_common = np.zeros(indices.size, dtype=np.int64)
-    neigh = [indices[indptr[u]:indptr[u + 1]] for u in range(n)]
-    for u in range(n):
-        nu = neigh[u]
-        for s in range(indptr[u], indptr[u + 1]):
-            v = indices[s]
-            if u < v:
-                c = np.intersect1d(nu, neigh[v], assume_unique=True).size
-                slot_common[s] = c
-            else:
-                # mirror slot (v -> u) was filled when v was processed
-                vs = indptr[v] + np.searchsorted(neigh[v], u)
-                slot_common[s] = slot_common[vs]
-
-    degrees = np.diff(indptr).astype(np.float64)
-    m = np.zeros(n, dtype=np.float64)
-    np.add.at(m, np.repeat(np.arange(n), np.diff(indptr)), slot_common)
-    m /= 2.0
+    deg = np.diff(indptr)
+    degrees = deg.astype(np.float64)
+    src = np.repeat(np.arange(n), deg)
+    m = np.bincount(src, weights=slot_common, minlength=n) / 2.0
     priority = np.where(degrees > 0, (m + degrees) / (degrees + 1.0), 0.0)
 
-    # priorities are fixed, so a single descending sort (smallest id first
-    # among ties) enumerates argmax picks
-    order = np.lexsort((np.arange(n), -priority))
-    remaining = np.ones(n, dtype=bool)
-    out = CliqueSet()
+    # each node's partner is its first (smallest-id) most Salton-similar
+    # neighbor; consumed neighbors stay eligible, so it is fixed up front
     inv_sqrt_d = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1.0)), 0.0)
-    for u in order:
-        u = int(u)
-        if not remaining[u]:
-            continue
-        nu = neigh[u]
-        if nu.size == 0:
-            remaining[u] = False
-            continue
-        si = slot_common[indptr[u]:indptr[u + 1]] * inv_sqrt_d[u] * inv_sqrt_d[nu]
-        v = int(nu[int(np.argmax(si))])  # argmax returns first max: smallest id
-        members = np.union1d(
-            np.array([u, v], dtype=np.int64),
-            np.intersect1d(nu, neigh[v], assume_unique=True),
-        )
-        out.append(CliqueRecord(seed_u=u, seed_v=v, members=members))
-        remaining[u] = False
-        remaining[v] = False
-    return out
+    si = slot_common * inv_sqrt_d[src] * inv_sqrt_d[indices]
+    partner = np.full(n, -1, dtype=np.int64)
+    if si.size:
+        linked = deg > 0  # reduceat mishandles the empty segments of isolated nodes
+        row_max = np.zeros(n)
+        row_max[linked] = np.maximum.reduceat(si, indptr[:-1][linked])
+        hits = np.flatnonzero(si == row_max[src])
+        rows, first = np.unique(src[hits], return_index=True)
+        partner[rows] = indices[hits[first]]
+
+    # priorities are fixed, so a single descending sort (smallest id first
+    # among ties) enumerates argmax picks; isolated nodes emit nothing
+    order = np.lexsort((np.arange(n), -priority))
+    remaining = (deg > 0).tolist()
+    partner_of = partner.tolist()
+    seeds = []
+    for u in order.tolist():
+        if remaining[u]:
+            v = partner_of[u]
+            seeds.append(u)
+            remaining[u] = remaining[v] = False
+
+    seed_u = np.array(seeds, dtype=np.int64)
+    seed_v = partner[seed_u]
+    # closed neighborhoods N[u] o N[v] = {u, v} plus the common neighbors
+    closed = adj + sp.eye_array(n, dtype=np.int32, format="csr")
+    incidence = closed[seed_u] * closed[seed_v]
+    incidence.sort_indices()
+    return CliqueSet(seed_u=seed_u, seed_v=seed_v, incidence=incidence)

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .cliques import CliqueSet
 from .graph import Cover, SampledLabels
@@ -44,28 +45,26 @@ def construct_pseudo_labels(
     if sampled.rows.shape[1] != n_communities:
         raise ValueError("sampled rows do not match the community count")
 
-    sampled_row = np.zeros((n_nodes, n_communities), dtype=np.int64)
-    sampled_row[sampled.node_ids] = sampled.rows
-    is_sampled = np.zeros(n_nodes, dtype=bool)
-    is_sampled[sampled.node_ids] = True
+    incidence = cliques.incidence
+    if incidence.shape[1] != n_nodes:
+        raise ValueError("clique incidence does not match the node count")
 
-    acc = np.zeros((n_nodes, n_communities), dtype=np.int64)
-    comm_ids = np.arange(n_communities)
-    for rec in cliques.cliques:
-        members = rec.members
-        voters = members[is_sampled[members]]
-        if voters.size == 0:
-            continue
-        votes = sampled_row[voters].sum(axis=0)
-        if not votes.any():
-            continue
-        ranked = np.lexsort((comm_ids, -votes))
-        label = np.zeros(n_communities, dtype=np.int64)
-        for j in ranked[:r_c]:
-            if votes[j] > 0:
-                label[j] = 1
-        acc[members] += label
-    return Cover(memberships=(acc > 0).astype(np.uint8))
+    # votes[i] = sum of the sampled rows of the members of clique voted[i]
+    by_sampled = incidence[:, sampled.node_ids]
+    voted = np.flatnonzero(np.diff(by_sampled.indptr))
+    votes = by_sampled[voted] @ sampled.rows.astype(np.int32)
+    ranked = np.argsort(-votes, axis=1, kind="stable")[:, :r_c]
+    keep = np.take_along_axis(votes, ranked, axis=1) > 0
+    clique_of, slot = np.nonzero(keep)
+    labels = sp.csr_array(
+        (np.ones(clique_of.size, dtype=np.int32), (clique_of, ranked[clique_of, slot])),
+        shape=(voted.size, n_communities),
+    )
+    # stamp each clique's label on all of its members
+    stamped = (incidence[voted].T @ labels).tocoo()
+    memberships = np.zeros((n_nodes, n_communities), dtype=np.uint8)
+    memberships[stamped.row, stamped.col] = 1
+    return Cover(memberships=memberships)
 
 
 def refresh_pseudo_labels(c_pred: np.ndarray, sampled: SampledLabels, tau: float) -> Cover:

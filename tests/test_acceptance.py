@@ -134,7 +134,7 @@ def test_criterion_3_pseudo_label_oracle_equivalence():
         lists = [sorted(rng.choice(n, size=int(rng.integers(2, 6)),
                                    replace=False).tolist())
                  for _ in range(int(rng.integers(1, 10)))]
-        got = construct_pseudo_labels(make_cliques(lists), sampled, n, k, rc)
+        got = construct_pseudo_labels(make_cliques(lists, n), sampled, n, k, rc)
         want = pseudo_labels_reference(lists, sampled.node_ids, sampled.rows, n, k, rc)
         assert got.memberships.tolist() == want
     report(3, "(200 instances)")

@@ -6,6 +6,9 @@ import pytest
 from wocd import load_cover, load_edge_list
 from wocd.cli import main
 
+from conftest import graph_to_adj
+from oracles import weak_cliques_reference
+
 
 def run(args):
     return main([str(a) for a in args])
@@ -55,6 +58,14 @@ class TestCliquesAndPseudo:
         assert len(head.split()) == 2
         assert members.split()
 
+    def test_cliques_dump_matches_reference(self, synth_dir, tmp_path):
+        out = tmp_path / "cliques.txt"
+        assert run(["cliques", "--edges", synth_dir / "edges.tsv", "--out", out]) == 0
+        ref = weak_cliques_reference(graph_to_adj(load_edge_list(synth_dir / "edges.tsv")))
+        want = "".join(f"{u} {v}: " + " ".join(map(str, members)) + "\n"
+                       for u, v, members in ref)
+        assert out.read_text() == want
+
     def test_pseudo_cover(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "pseudo.txt"
         assert run(["pseudo", "--edges", synth_dir / "edges.tsv",
@@ -97,6 +108,38 @@ class TestTrain:
                     "--features", synth_dir / "features.csv",
                     "--cover", synth_dir / "cover.txt",
                     "--out", tmp_path / "run"]) == 3
+
+
+class TestExitCodes:
+    def train(self, synth_dir, tmp_path, *extra, features=None):
+        return run(["train", "--edges", synth_dir / "edges.tsv",
+                    "--features", features or synth_dir / "features.csv",
+                    "--cover", synth_dir / "cover.txt",
+                    "--epochs-initial", 2, "--epochs-refined", 2, "--hidden", 8,
+                    "--out", tmp_path / "run", *extra])
+
+    def assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+
+    def test_malformed_config_json(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{not json")
+        assert self.train(synth_dir, tmp_path, "--config", cfg) == 3
+        self.assert_one_line_error(capsys)
+
+    def test_unknown_config_key(self, synth_dir, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": 3}))
+        assert self.train(synth_dir, tmp_path, "--config", cfg) == 3
+        self.assert_one_line_error(capsys)
+
+    def test_degenerate_projection(self, synth_dir, tmp_path, capsys):
+        # all-zero features and zero initial biases make Q and K the zero matrix
+        zeros = tmp_path / "zeros.csv"
+        zeros.write_text("0,0,0\n" * 60)
+        assert self.train(synth_dir, tmp_path, features=zeros) == 4
+        self.assert_one_line_error(capsys)
 
 
 class TestEval:

@@ -91,15 +91,21 @@ class TestIdentifyWeakCliques:
         out = identify_weak_cliques(Graph.from_edges([], 5))
         assert len(out) == 0
 
-    def test_member_index_inverse(self, rng):
-        g = random_graph(rng, 25, 0.3)
-        out = identify_weak_cliques(g)
-        for v, idxs in out.member_index.items():
-            for i in idxs:
-                assert v in out.cliques[i].members
-        for i, rec in enumerate(out.cliques):
-            for v in rec.members:
-                assert i in out.member_index[int(v)]
+    @pytest.mark.parametrize("pairs, n", [
+        ([], 0),
+        ([], 4),
+        # isolated nodes 0, 3, 4, 7 and 9 sit between and around connected ones
+        ([(1, 2), (2, 5), (1, 5), (5, 6), (6, 8)], 10),
+        # a star: every Salton index is 0, so ties go to the smallest id
+        ([(0, i) for i in range(1, 6)], 6),
+        # disjoint K4s
+        ([(b + u, b + v) for b in (0, 4, 8) for u in range(4) for v in range(u + 1, 4)], 12),
+    ], ids=["no_nodes", "isolated_only", "isolated_between", "star", "disjoint_k4s"])
+    def test_edge_cases_match_reference(self, pairs, n):
+        g = Graph.from_edges(pairs, n)
+        got = [(r.seed_u, r.seed_v, tuple(r.members.tolist()))
+               for r in identify_weak_cliques(g).cliques]
+        assert got == weak_cliques_reference(graph_to_adj(g))
 
     def test_seed_uniqueness(self, rng):
         # each node starts a clique at most once; consumed nodes may still
