@@ -4,9 +4,6 @@ from .cliques import (
     CliqueRecord,
     CliqueSet,
     identify_weak_cliques,
-    node_priority,
-    salton_index,
-    weak_clique,
 )
 from .graph import (
     Cover,
@@ -32,7 +29,6 @@ from .model import (
     adam_step,
     gcn_forward,
     gcn_norm,
-    gradients,
     gt_forward,
     init_params,
     loss,

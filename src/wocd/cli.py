@@ -55,8 +55,6 @@ def _add_train_flags(p: argparse.ArgumentParser) -> None:
                    dest="activate_final")
     p.add_argument("--refresh-union", action="store_true", default=None,
                    dest="refresh_union")
-    p.add_argument("--select-best", action="store_true", default=None,
-                   dest="select_best")
 
 
 def _build_config(args) -> TrainConfig:
@@ -65,14 +63,14 @@ def _build_config(args) -> TrainConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
                 cfg = TrainConfig.from_dict(json.load(fh))
-            except (json.JSONDecodeError, TypeError) as exc:  # not JSON, or an unknown key
+            except (json.JSONDecodeError, TypeError) as exc:  # not JSON, or a bad key or value
                 raise FormatError(f"config {args.config}: {exc}") from None
     fusion = {"alpha": cfg.fusion.alpha, "beta": cfg.fusion.beta, "gamma": cfg.fusion.gamma}
     pseudo = {"r_c": cfg.pseudo.r_c, "tau": cfg.pseudo.tau}
     plain = cfg.to_dict()
     for key in ("lam1", "lam2", "epochs_initial", "epochs_refined", "lr", "hidden",
                 "seed", "binarize_threshold", "rho", "activate_final",
-                "refresh_union", "select_best"):
+                "refresh_union"):
         val = getattr(args, key, None)
         if val is not None:
             plain[key] = val
@@ -147,10 +145,18 @@ def cmd_pseudo(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def _load_inputs(args):
+    """Edge list, features and cover of ``train``/``ablate``; all must agree on N."""
     graph = load_edge_list(args.edges)
     x = load_features(args.features, header=args.features_header)
     cover = load_cover(args.cover)
+    if x.shape[0] != graph.n_nodes or cover.n_nodes != graph.n_nodes:
+        raise FormatError("edge list, features and cover disagree on the number of nodes")
+    return graph, x, cover
+
+
+def cmd_train(args) -> int:
+    graph, x, cover = _load_inputs(args)
     config = _build_config(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -177,9 +183,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    graph = load_edge_list(args.edges)
-    x = load_features(args.features, header=args.features_header)
-    cover = load_cover(args.cover)
+    graph, x, cover = _load_inputs(args)
     rhos = [float(tok) for tok in args.rhos.split(",")]
     seeds = [int(tok) for tok in args.seeds.split(",")]
     out = Path(args.out)

@@ -50,48 +50,6 @@ class CliqueSet:
         )
 
 
-def _check_node(graph: Graph, u: int) -> None:
-    if not (0 <= u < graph.n_nodes):
-        raise IndexError(f"node id {u} out of range [0, {graph.n_nodes})")
-
-
-def _common_neighbors(graph: Graph, u: int, v: int) -> np.ndarray:
-    return np.intersect1d(graph.neighbors(u), graph.neighbors(v), assume_unique=True)
-
-
-def node_priority(graph: Graph, u: int) -> float:
-    """(m_u + d_u) / (d_u + 1), with m_u the edge count among u's neighbors."""
-    _check_node(graph, u)
-    d = graph.degree(u)
-    if d == 0:
-        return 0.0
-    # each neighbor-neighbor edge is seen from both endpoints
-    m = sum(_common_neighbors(graph, u, int(v)).size for v in graph.neighbors(u)) / 2
-    return (m + d) / (d + 1)
-
-
-def salton_index(graph: Graph, u: int, v: int) -> float:
-    """|n_u ∩ n_v| / sqrt(d_u * d_v); zero when either endpoint is isolated."""
-    _check_node(graph, u)
-    _check_node(graph, v)
-    if u == v:
-        raise ValueError("salton_index requires u != v")
-    du, dv = graph.degree(u), graph.degree(v)
-    if du == 0 or dv == 0:
-        return 0.0
-    return _common_neighbors(graph, u, v).size / np.sqrt(du * dv)
-
-
-def weak_clique(graph: Graph, u: int, v: int) -> CliqueRecord:
-    """{u, v} plus all common neighbors of the edge (u, v)."""
-    _check_node(graph, u)
-    _check_node(graph, v)
-    if not graph.has_edge(u, v):
-        raise ValueError(f"({u}, {v}) is not an edge")
-    members = np.union1d(np.array([u, v], dtype=np.int64), _common_neighbors(graph, u, v))
-    return CliqueRecord(seed_u=u, seed_v=v, members=members)
-
-
 # rows of A @ A computed at once; bounds the product's memory at
 # O(ROW_BLOCK * n) instead of O(sum of squared degrees)
 ROW_BLOCK = 512

@@ -6,8 +6,7 @@ attention never materializes the N x N score matrix.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -15,8 +14,6 @@ import scipy.sparse as sp
 from .graph import Cover, Graph, SampledLabels
 
 CLAMP_EPS = 1e-7
-
-CHECKPOINT_VERSION = 1
 
 
 class DegenerateProjectionError(ValueError):
@@ -36,93 +33,43 @@ class FusionParams:
             raise ValueError("gamma must be in [0, 1]")
 
 
-@dataclass
+def param_layout(d: int, h: int, k: int) -> list:
+    """(name, shape) of every weight array, in buffer order."""
+    layout = [("input_proj_w", (d, h)), ("input_proj_b", (h,))]
+    for i, fan_in in enumerate((d, h, h)):
+        layout += [(f"gcn_w{i}", (fan_in, h)), (f"gcn_b{i}", (h,))]
+    for name in ("gt_q", "gt_k", "gt_v"):
+        layout += [(f"{name}_w", (h, h)), (f"{name}_b", (h,))]
+    return layout + [("head_w", (h, k)), ("head_b", (k,))]
+
+
 class ModelParams:
-    """All learnable weights for the fused GCN/GT predictor."""
+    """All learnable weights for the fused GCN/GT predictor.
 
-    input_proj_w: np.ndarray  # D x h, feeds the transformer branch
-    input_proj_b: np.ndarray
-    gcn_w: list  # [D x h, h x h, h x h]
-    gcn_b: list
-    gt_q_w: np.ndarray
-    gt_q_b: np.ndarray
-    gt_k_w: np.ndarray
-    gt_k_b: np.ndarray
-    gt_v_w: np.ndarray
-    gt_v_b: np.ndarray
-    head_w: np.ndarray  # h x K
-    head_b: np.ndarray
-    activate_final: bool = False  # rectify the last GCN layer too
+    The weights live in one contiguous float64 buffer ``flat``; each array
+    (``input_proj_w``, ``gcn_w[l]``, ..., ``head_b``) is a view into it, laid
+    out in ``param_layout`` order, so writing a view writes ``flat``.
+    """
 
-    def named_arrays(self):
-        """Fixed-order (name, array) pairs; shared by Adam and grad checks."""
-        pairs = [
-            ("input_proj_w", self.input_proj_w),
-            ("input_proj_b", self.input_proj_b),
-        ]
-        for i, (w, b) in enumerate(zip(self.gcn_w, self.gcn_b)):
-            pairs.append((f"gcn_w{i}", w))
-            pairs.append((f"gcn_b{i}", b))
-        pairs += [
-            ("gt_q_w", self.gt_q_w),
-            ("gt_q_b", self.gt_q_b),
-            ("gt_k_w", self.gt_k_w),
-            ("gt_k_b", self.gt_k_b),
-            ("gt_v_w", self.gt_v_w),
-            ("gt_v_b", self.gt_v_b),
-            ("head_w", self.head_w),
-            ("head_b", self.head_b),
-        ]
-        return pairs
+    def __init__(self, dims: tuple, activate_final: bool = False, flat=None):
+        self.dims = tuple(dims)  # (D, h, K)
+        self.activate_final = activate_final  # rectify the last GCN layer too
+        layout = param_layout(*self.dims)
+        sizes = [int(np.prod(shape)) for _, shape in layout]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        offset = 0
+        for (name, shape), size in zip(layout, sizes):
+            setattr(self, name, self.flat[offset:offset + size].reshape(shape))
+            offset += size
+        self.gcn_w = [self.gcn_w0, self.gcn_w1, self.gcn_w2]
+        self.gcn_b = [self.gcn_b0, self.gcn_b1, self.gcn_b2]
+
+    def named_arrays(self) -> list:
+        """(name, view) pairs in layout order."""
+        return [(name, getattr(self, name)) for name, _ in param_layout(*self.dims)]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(
-            input_proj_w=self.input_proj_w.copy(),
-            input_proj_b=self.input_proj_b.copy(),
-            gcn_w=[w.copy() for w in self.gcn_w],
-            gcn_b=[b.copy() for b in self.gcn_b],
-            gt_q_w=self.gt_q_w.copy(),
-            gt_q_b=self.gt_q_b.copy(),
-            gt_k_w=self.gt_k_w.copy(),
-            gt_k_b=self.gt_k_b.copy(),
-            gt_v_w=self.gt_v_w.copy(),
-            gt_v_b=self.gt_v_b.copy(),
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-            activate_final=self.activate_final,
-        )
-
-    def save(self, path, seed=None) -> None:
-        arrays = dict(self.named_arrays())
-        meta = {
-            "version": CHECKPOINT_VERSION,
-            "activate_final": self.activate_final,
-            "seed": seed,
-            "shapes": {k: list(v.shape) for k, v in arrays.items()},
-        }
-        np.savez(path, __meta__=json.dumps(meta), **arrays)
-
-    @classmethod
-    def load(cls, path) -> "ModelParams":
-        data = np.load(path, allow_pickle=False)
-        meta = json.loads(str(data["__meta__"]))
-        if meta.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {meta.get('version')}")
-        return cls(
-            input_proj_w=data["input_proj_w"],
-            input_proj_b=data["input_proj_b"],
-            gcn_w=[data[f"gcn_w{i}"] for i in range(3)],
-            gcn_b=[data[f"gcn_b{i}"] for i in range(3)],
-            gt_q_w=data["gt_q_w"],
-            gt_q_b=data["gt_q_b"],
-            gt_k_w=data["gt_k_w"],
-            gt_k_b=data["gt_k_b"],
-            gt_v_w=data["gt_v_w"],
-            gt_v_b=data["gt_v_b"],
-            head_w=data["head_w"],
-            head_b=data["head_b"],
-            activate_final=bool(meta["activate_final"]),
-        )
+        return ModelParams(self.dims, self.activate_final, self.flat.copy())
 
 
 def init_params(d: int, h: int, k: int, seed: int, activate_final: bool = False) -> ModelParams:
@@ -130,26 +77,12 @@ def init_params(d: int, h: int, k: int, seed: int, activate_final: bool = False)
     if min(d, h, k) < 1:
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
-
-    def draw(fan_in, fan_out):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=(fan_in, fan_out))
-
-    return ModelParams(
-        input_proj_w=draw(d, h),
-        input_proj_b=np.zeros(h),
-        gcn_w=[draw(d, h), draw(h, h), draw(h, h)],
-        gcn_b=[np.zeros(h), np.zeros(h), np.zeros(h)],
-        gt_q_w=draw(h, h),
-        gt_q_b=np.zeros(h),
-        gt_k_w=draw(h, h),
-        gt_k_b=np.zeros(h),
-        gt_v_w=draw(h, h),
-        gt_v_b=np.zeros(h),
-        head_w=draw(h, k),
-        head_b=np.zeros(k),
-        activate_final=activate_final,
-    )
+    params = ModelParams((d, h, k), activate_final)
+    for w in (params.input_proj_w, *params.gcn_w, params.gt_q_w, params.gt_k_w,
+              params.gt_v_w, params.head_w):
+        bound = 1.0 / np.sqrt(w.shape[0])
+        w[:] = rng.uniform(-bound, bound, size=w.shape)
+    return params
 
 
 def gcn_norm(graph: Graph) -> sp.csr_matrix:
@@ -198,8 +131,8 @@ def _gcn_backward(params: ModelParams, p_mat, x, cache, d_out, grads) -> None:
         if not (last and not params.activate_final):
             d = d * (pre > 0)
         m = cache["gcn_m"][l]
-        grads[f"gcn_w{l}"] += m.T @ d
-        grads[f"gcn_b{l}"] += d.sum(axis=0)
+        grads.gcn_w[l] += m.T @ d
+        grads.gcn_b[l] += d.sum(axis=0)
         if l > 0:
             # P is symmetric, so d(P @ Z) / dZ pulls back through P itself
             d = p_mat @ (d @ params.gcn_w[l].T)
@@ -261,16 +194,16 @@ def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
     d_q = (d_qt - (d_qt * qt).sum() * qt) / cache["gt_qn"]
     d_k = (d_kt - (d_kt * kt).sum() * kt) / cache["gt_kn"]
 
-    grads["gt_q_w"] += z0.T @ d_q
-    grads["gt_q_b"] += d_q.sum(axis=0)
-    grads["gt_k_w"] += z0.T @ d_k
-    grads["gt_k_b"] += d_k.sum(axis=0)
-    grads["gt_v_w"] += z0.T @ d_v
-    grads["gt_v_b"] += d_v.sum(axis=0)
+    grads.gt_q_w += z0.T @ d_q
+    grads.gt_q_b += d_q.sum(axis=0)
+    grads.gt_k_w += z0.T @ d_k
+    grads.gt_k_b += d_k.sum(axis=0)
+    grads.gt_v_w += z0.T @ d_v
+    grads.gt_v_b += d_v.sum(axis=0)
 
     d_z0 += d_q @ params.gt_q_w.T + d_k @ params.gt_k_w.T + d_v @ params.gt_v_w.T
-    grads["input_proj_w"] += x.T @ d_z0
-    grads["input_proj_b"] += d_z0.sum(axis=0)
+    grads.input_proj_w += x.T @ d_z0
+    grads.input_proj_b += d_z0.sum(axis=0)
 
 
 def _sigmoid(x):
@@ -343,51 +276,47 @@ def _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2):
 def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x,
                        sampled: SampledLabels, pseudo: Cover | None,
                        lam1: float, lam2: float):
-    """Exact analytic gradients of the dual-BCE objective."""
+    """Exact analytic gradients of the dual-BCE objective.
+
+    Returns (loss, grads); grads is a ModelParams laid out like params.
+    """
     cache: dict = {}
     c_pred = predict(params, fusion, p_mat, x, cache)
     value, d_pred = _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2)
 
-    grads = {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
+    grads = ModelParams(params.dims, params.activate_final)
     d_logits = d_pred * c_pred * (1.0 - c_pred)
     fused = cache["fused"]
-    grads["head_w"] += fused.T @ d_logits
-    grads["head_b"] += d_logits.sum(axis=0)
+    grads.head_w += fused.T @ d_logits
+    grads.head_b += d_logits.sum(axis=0)
     d_fused = d_logits @ params.head_w.T
     _gcn_backward(params, p_mat, x, cache, fusion.alpha * d_fused, grads)
     _gt_backward(params, x, fusion.gamma, cache, fusion.beta * d_fused, grads)
     return value, grads
 
 
-def gradients(params, fusion, p_mat, x, sampled, pseudo, lam1, lam2):
-    _, grads = loss_and_gradients(params, fusion, p_mat, x, sampled, pseudo, lam1, lam2)
-    return grads
-
-
 @dataclass
 class AdamState:
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    """First and second moment estimates over ``ModelParams.flat``."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-            v={name: np.zeros_like(arr) for name, arr in params.named_arrays()},
-        )
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: ModelParams, grads: dict, state: AdamState, lr: float,
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float,
               beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-    """Bias-corrected Adam update, in place."""
+    """Bias-corrected Adam update of every weight at once, in place."""
     state.t += 1
     t = state.t
-    for name, arr in params.named_arrays():
-        g = grads[name]
-        state.m[name] = beta1 * state.m[name] + (1.0 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1.0 - beta2) * g * g
-        m_hat = state.m[name] / (1.0 - beta1**t)
-        v_hat = state.v[name] / (1.0 - beta2**t)
-        arr -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = grads.flat
+    state.m = beta1 * state.m + (1.0 - beta1) * g
+    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    m_hat = state.m / (1.0 - beta1**t)
+    v_hat = state.v / (1.0 - beta2**t)
+    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return params, state

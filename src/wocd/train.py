@@ -44,7 +44,6 @@ class TrainConfig:
     rho: float = 0.1
     activate_final: bool = False
     refresh_union: bool = False  # union refreshed pseudo cover with the clique one
-    select_best: bool = False  # keep min-training-loss params instead of last
 
     def __post_init__(self):
         if self.lam1 < 0 or self.lam2 < 0:
@@ -60,10 +59,11 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         data = dict(data)
-        if "fusion" in data and isinstance(data["fusion"], dict):
-            data["fusion"] = FusionParams(**data["fusion"])
-        if "pseudo" in data and isinstance(data["pseudo"], dict):
-            data["pseudo"] = PseudoConfig(**data["pseudo"])
+        for key, kind in (("fusion", FusionParams), ("pseudo", PseudoConfig)):
+            if isinstance(data.get(key), dict):
+                data[key] = kind(**data[key])
+            elif key in data and not isinstance(data[key], kind):
+                raise TypeError(f"{key} must be an object, not {type(data[key]).__name__}")
         return cls(**data)
 
 
@@ -111,46 +111,32 @@ def _train_epochs(params, state, p_mat, x, sampled, pseudo_cover, config, epochs
     return trace
 
 
-def initial_training(graph: Graph, x: np.ndarray, sampled: SampledLabels,
+def initial_training(p_mat, x: np.ndarray, sampled: SampledLabels,
                      pseudo_cover: Cover, config: TrainConfig):
     """Train fresh parameters against true + weak-clique pseudo labels.
 
-    Returns the final-epoch parameters (or the min-loss ones when
-    select_best is set) and the per-epoch loss trace.
+    p_mat is the graph's ``gcn_norm``. Returns the final-epoch parameters
+    and the per-epoch loss trace.
     """
     _, init_seed = _seeds(config.seed)
     k = pseudo_cover.n_communities
     params = init_params(x.shape[1], config.hidden, k, init_seed,
                          activate_final=config.activate_final)
     state = AdamState.for_params(params)
-    p_mat = gcn_norm(graph)
-    if not config.select_best:
-        trace = _train_epochs(params, state, p_mat, x, sampled, pseudo_cover,
-                              config, config.epochs_initial, "initial_training")
-        return params, trace
-    best = params.copy()
-    best_loss = np.inf
-    trace = []
-    for _ in range(config.epochs_initial):
-        step = _train_epochs(params, state, p_mat, x, sampled, pseudo_cover,
-                             config, 1, "initial_training")
-        trace.extend(step)
-        if step[0] < best_loss:
-            best_loss = step[0]
-            best = params.copy()
-    return best, trace
+    trace = _train_epochs(params, state, p_mat, x, sampled, pseudo_cover,
+                          config, config.epochs_initial, "initial_training")
+    return params, trace
 
 
-def refined_training(graph: Graph, x: np.ndarray, sampled: SampledLabels,
+def refined_training(p_mat, x: np.ndarray, sampled: SampledLabels,
                      params: ModelParams, config: TrainConfig,
                      true_cover: Cover | None = None,
                      clique_cover: Cover | None = None):
     """Refresh pseudo-labels from the warm model and continue training it.
 
-    Returns (params, C_final, RunReport); onmi fields are filled only when
-    true_cover is given.
+    p_mat is the graph's ``gcn_norm``. Returns (params, C_final, RunReport);
+    onmi fields are filled only when true_cover is given.
     """
-    p_mat = gcn_norm(graph)
     report = RunReport()
 
     c_pred = predict(params, config.fusion, p_mat, x)
@@ -191,12 +177,13 @@ def run_pipeline(graph: Graph, x: np.ndarray, true_cover: Cover,
         config.pseudo.r_c,
     )
 
+    p_mat = gcn_norm(graph)
     start = time.perf_counter()
-    params, trace_initial = initial_training(graph, x, sampled, clique_cover, config)
+    params, trace_initial = initial_training(p_mat, x, sampled, clique_cover, config)
     wall_initial = time.perf_counter() - start
 
     params, c_final, report = refined_training(
-        graph, x, sampled, params, config,
+        p_mat, x, sampled, params, config,
         true_cover=true_cover, clique_cover=clique_cover,
     )
     report.n_pseudo_initial = pseudo_coverage(clique_cover, sampled)

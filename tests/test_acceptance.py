@@ -190,7 +190,7 @@ def test_criterion_4_gradient_correctness():
             params, step=1e-4,
         )
         for name in fd:
-            g_a, g_f = grads[name], fd[name]
+            g_a, g_f = getattr(grads, name), fd[name]
             small = np.abs(g_a) < 1e-6
             rel = np.abs(g_a - g_f) / np.maximum(np.abs(g_f), 1e-300)
             assert np.all(rel[~small] <= 1e-4), (trial, name)
@@ -268,9 +268,13 @@ def test_criterion_10_clique_construction_scaling():
         v = rng.integers(0, n, size=int(m * 1.2))
         keep = u != v
         g = Graph.from_edges(np.stack([u[keep], v[keep]], axis=1)[:m], n)
-        start = time.perf_counter()
-        identify_weak_cliques(g)
-        times.append(time.perf_counter() - start)
+        # best of three: a preempted run only ever adds time
+        best = np.inf
+        for _ in range(3):
+            start = time.perf_counter()
+            identify_weak_cliques(g)
+            best = min(best, time.perf_counter() - start)
+        times.append(best)
         m *= 2
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     assert all(r <= 3.0 for r in ratios), f"ratios {ratios}"

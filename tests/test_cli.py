@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from wocd import load_cover, load_edge_list
+from wocd import Cover, load_cover, load_edge_list, load_features, write_cover, write_features
 from wocd.cli import main
 
 from conftest import graph_to_adj
@@ -132,6 +132,31 @@ class TestExitCodes:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"epochs": 3}))
         assert self.train(synth_dir, tmp_path, "--config", cfg) == 3
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("body", [{"fusion": 3}, {"pseudo": []}, {"select_best": True}],
+                             ids=["fusion_not_object", "pseudo_not_object", "select_best"])
+    def test_config_value_rejected(self, synth_dir, tmp_path, capsys, body):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(body))
+        assert self.train(synth_dir, tmp_path, "--config", cfg) == 3
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("short", ["features", "cover"])
+    def test_node_count_mismatch(self, synth_dir, tmp_path, capsys, command, short):
+        files = {"features": synth_dir / "features.csv", "cover": synth_dir / "cover.txt"}
+        files[short] = tmp_path / f"short_{short}"
+        if short == "features":  # the first 30 of 60 rows
+            write_features(load_features(synth_dir / "features.csv")[:30], files[short])
+        else:
+            cover = load_cover(synth_dir / "cover.txt")
+            write_cover(Cover(memberships=cover.memberships[:30]), files[short])
+        sweep = ["--rhos", 0.2, "--seeds", 0] if command == "ablate" else []
+        assert run([command, "--edges", synth_dir / "edges.tsv",
+                    "--features", files["features"], "--cover", files["cover"], *sweep,
+                    "--epochs-initial", 2, "--epochs-refined", 2, "--hidden", 8,
+                    "--out", tmp_path / "run"]) == 3
         self.assert_one_line_error(capsys)
 
     def test_degenerate_projection(self, synth_dir, tmp_path, capsys):

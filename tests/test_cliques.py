@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from wocd import (
-    Graph,
-    identify_weak_cliques,
-    node_priority,
-    salton_index,
-    weak_clique,
-)
+from wocd import Graph, identify_weak_cliques
 
 from conftest import graph_to_adj, random_graph
 from oracles import weak_cliques_reference
@@ -19,61 +13,6 @@ def triangle():
 
 def path3():
     return Graph.from_edges([(0, 1), (1, 2)], 3)
-
-
-class TestNodePriority:
-    def test_edge_endpoint(self):
-        g = Graph.from_edges([(0, 1)], 2)
-        assert node_priority(g, 0) == 0.5
-
-    def test_triangle_vertex(self):
-        assert node_priority(triangle(), 0) == 1.0
-
-    def test_star_center(self):
-        g = Graph.from_edges([(0, i) for i in range(1, 5)], 5)
-        assert node_priority(g, 0) == pytest.approx(0.8)
-
-    def test_isolated(self):
-        g = Graph.from_edges([(0, 1)], 3)
-        assert node_priority(g, 2) == 0.0
-
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            node_priority(triangle(), 3)
-
-
-class TestSaltonIndex:
-    def test_triangle_pair(self):
-        assert salton_index(triangle(), 0, 1) == pytest.approx(0.5)
-
-    def test_no_common_neighbor(self):
-        assert salton_index(path3(), 0, 1) == 0.0
-
-    def test_k4_pair(self):
-        g = Graph.from_edges([(u, v) for u in range(4) for v in range(u + 1, 4)], 4)
-        assert salton_index(g, 0, 1) == pytest.approx(2.0 / 3.0)
-
-    def test_isolated_endpoint(self):
-        g = Graph.from_edges([(0, 1)], 3)
-        assert salton_index(g, 0, 2) == 0.0
-
-
-class TestWeakClique:
-    def test_triangle_edge(self):
-        rec = weak_clique(triangle(), 1, 2)
-        assert rec.members.tolist() == [0, 1, 2]
-
-    def test_path_edge(self):
-        rec = weak_clique(path3(), 0, 1)
-        assert rec.members.tolist() == [0, 1]
-
-    def test_k4_edge(self):
-        g = Graph.from_edges([(u, v) for u in range(4) for v in range(u + 1, 4)], 4)
-        assert weak_clique(g, 0, 1).members.tolist() == [0, 1, 2, 3]
-
-    def test_non_edge_rejected(self):
-        with pytest.raises(ValueError):
-            weak_clique(path3(), 0, 2)
 
 
 class TestIdentifyWeakCliques:
@@ -100,7 +39,12 @@ class TestIdentifyWeakCliques:
         ([(0, i) for i in range(1, 6)], 6),
         # disjoint K4s
         ([(b + u, b + v) for b in (0, 4, 8) for u in range(4) for v in range(u + 1, 4)], 12),
-    ], ids=["no_nodes", "isolated_only", "isolated_between", "star", "disjoint_k4s"])
+        # one edge and an isolated node: priorities 1/2, 1/2 and 0
+        ([(0, 1)], 3),
+        # K4: every priority is 2 and every Salton index 2/3
+        ([(u, v) for u in range(4) for v in range(u + 1, 4)], 4),
+    ], ids=["no_nodes", "isolated_only", "isolated_between", "star", "disjoint_k4s",
+            "edge_and_isolated", "k4"])
     def test_edge_cases_match_reference(self, pairs, n):
         g = Graph.from_edges(pairs, n)
         got = [(r.seed_u, r.seed_v, tuple(r.members.tolist()))

@@ -19,6 +19,8 @@ from wocd import (
     predict,
 )
 
+from wocd.model import param_layout
+
 from conftest import random_cover, random_graph, random_sampled
 from oracles import (
     finite_difference_grads,
@@ -236,11 +238,12 @@ class TestGradients:
             params,
         )
         for name in fd:
+            g_a = getattr(grads, name)
             denom = np.maximum(np.abs(fd[name]), 1e-6)
-            rel = np.abs(grads[name] - fd[name]) / denom
-            small = np.abs(grads[name]) < 1e-6
+            rel = np.abs(g_a - fd[name]) / denom
+            small = np.abs(g_a) < 1e-6
             assert np.all(rel[~small] <= 1e-4), name
-            assert np.all(np.abs(grads[name] - fd[name])[small] <= 1e-8), name
+            assert np.all(np.abs(g_a - fd[name])[small] <= 1e-8), name
 
     def test_zero_loss_stationary(self, rng):
         # labels equal to predictions at the head's zero point: y = 0.5 is not
@@ -249,7 +252,7 @@ class TestGradients:
         g, x, params, sampled, pseudo = self._instance(3)
         _, grads = loss_and_gradients(params, FusionParams(), gcn_norm(g), x,
                                       sampled, pseudo, 0.0, 0.0)
-        for name, g_arr in grads.items():
+        for name, g_arr in grads.named_arrays():
             assert np.max(np.abs(g_arr)) <= 1e-6, name
 
     def test_lambda2_zero_ignores_pseudo(self):
@@ -259,35 +262,28 @@ class TestGradients:
         _, g1 = loss_and_gradients(params, fusion, p, x, sampled, pseudo, 1.0, 0.0)
         other = Cover(memberships=1 - pseudo.memberships)
         _, g2 = loss_and_gradients(params, fusion, p, x, sampled, other, 1.0, 0.0)
-        for name in g1:
-            np.testing.assert_array_equal(g1[name], g2[name])
+        np.testing.assert_array_equal(g1.flat, g2.flat)
 
 
 class TestAdam:
     def test_zero_gradient(self):
         params = init_params(3, 4, 2, seed=0)
-        before = {n: a.copy() for n, a in params.named_arrays()}
+        before = params.flat.copy()
         state = AdamState.for_params(params)
-        grads = {n: np.zeros_like(a) for n, a in params.named_arrays()}
-        adam_step(params, grads, state, lr=0.1)
-        for name, arr in params.named_arrays():
-            np.testing.assert_array_equal(arr, before[name])
+        adam_step(params, ModelParams(params.dims), state, lr=0.1)
+        np.testing.assert_array_equal(params.flat, before)
         assert state.t == 1
 
     def test_first_step_is_signed_lr(self):
         params = init_params(3, 4, 2, seed=1)
-        before = {n: a.copy() for n, a in params.named_arrays()}
+        before = params.flat.copy()
         state = AdamState.for_params(params)
         rng = np.random.default_rng(0)
         # keep |g| well above Adam's eps so the t=1 ratio is a clean sign
-        grads = {
-            n: rng.uniform(0.5, 1.5, size=a.shape) * rng.choice([-1.0, 1.0], size=a.shape)
-            for n, a in params.named_arrays()
-        }
-        adam_step(params, grads, state, lr=1e-3)
-        for name, arr in params.named_arrays():
-            step = before[name] - arr
-            np.testing.assert_allclose(step, 1e-3 * np.sign(grads[name]), rtol=1e-6)
+        size = params.flat.size
+        g = rng.uniform(0.5, 1.5, size=size) * rng.choice([-1.0, 1.0], size=size)
+        adam_step(params, ModelParams(params.dims, flat=g), state, lr=1e-3)
+        np.testing.assert_allclose(before - params.flat, 1e-3 * np.sign(g), rtol=1e-6)
 
     def test_two_step_quadratic_trajectory(self):
         # minimize 0.5 x^2 from x0 = 1 with lr 0.1; hand recurrence
@@ -303,18 +299,48 @@ class TestAdam:
             want.append(x)
 
         params = init_params(1, 1, 1, seed=0)
-        arrs = dict(params.named_arrays())
-        for name, a in arrs.items():
-            a[:] = 0.0
-        arrs["head_w"][:] = 1.0
+        params.flat[:] = 0.0
+        params.head_w[:] = 1.0
         state = AdamState.for_params(params)
         got = []
         for _ in range(2):
-            grads = {n: np.zeros_like(a) for n, a in params.named_arrays()}
-            grads["head_w"] = arrs["head_w"].copy()
+            grads = ModelParams(params.dims)
+            grads.head_w[:] = params.head_w
             adam_step(params, grads, state, lr=lr)
-            got.append(arrs["head_w"].item())
+            got.append(params.head_w.item())
         np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+class TestModelParams:
+    def test_views_alias_flat(self):
+        params = init_params(5, 6, 3, seed=8)
+        before = params.flat.copy()
+        for name, arr in params.named_arrays():
+            assert np.shares_memory(arr, params.flat), name
+            arr += 1.0
+        # every entry of flat moved exactly once
+        np.testing.assert_array_equal(params.flat, before + 1.0)
+        assert params.gcn_w[1] is params.gcn_w1 and params.gcn_b[2] is params.gcn_b2
+
+    def test_views_tile_flat_in_layout_order(self):
+        params = init_params(5, 6, 3, seed=8)
+        base = params.flat.__array_interface__["data"][0]
+        offset = 0
+        for (name, arr), (lname, shape) in zip(params.named_arrays(), param_layout(5, 6, 3)):
+            assert name == lname and arr.shape == shape
+            assert arr.flags.c_contiguous
+            assert arr.__array_interface__["data"][0] - base == offset * 8, name
+            offset += arr.size
+        assert offset == params.flat.size
+
+    def test_copy_shares_no_memory(self):
+        params = init_params(5, 6, 3, seed=8, activate_final=True)
+        twin = params.copy()
+        assert not np.shares_memory(twin.flat, params.flat)
+        assert twin.dims == params.dims and twin.activate_final is True
+        np.testing.assert_array_equal(twin.flat, params.flat)
+        twin.head_b[:] = 7.0
+        assert not np.any(params.head_b == 7.0)
 
 
 class TestInitParams:
@@ -334,21 +360,25 @@ class TestInitParams:
             if name.endswith("_b"):
                 assert np.all(arr == 0.0)
 
+    def test_matches_per_array_draws(self):
+        # one uniform draw per weight matrix, in the order input_proj, gcn 0-2,
+        # q, k, v, head, so a seed gives the same weights whatever the storage
+        d, h, k = 5, 6, 3
+        rng = np.random.default_rng(9)
+        want = {}
+        for name, fan_in, fan_out in [("input_proj_w", d, h), ("gcn_w0", d, h),
+                                      ("gcn_w1", h, h), ("gcn_w2", h, h),
+                                      ("gt_q_w", h, h), ("gt_k_w", h, h),
+                                      ("gt_v_w", h, h), ("head_w", h, k)]:
+            bound = 1.0 / np.sqrt(fan_in)
+            want[name] = rng.uniform(-bound, bound, size=(fan_in, fan_out))
+        params = init_params(d, h, k, seed=9)
+        for name, arr in params.named_arrays():
+            np.testing.assert_array_equal(arr, want.get(name, 0.0), err_msg=name)
+
     def test_weight_mean_near_zero(self):
         params = init_params(256, 256, 4, seed=2)
         w = params.gcn_w[1]
         bound = 1.0 / np.sqrt(256)
         sigma = bound / np.sqrt(3.0)  # std of U(-bound, bound)
         assert abs(w.mean()) <= 5 * sigma / np.sqrt(w.size)
-
-
-class TestCheckpoint:
-    def test_round_trip(self, tmp_path):
-        params = init_params(5, 6, 3, seed=8, activate_final=True)
-        path = tmp_path / "model.npz"
-        params.save(path, seed=8)
-        loaded = ModelParams.load(path)
-        assert loaded.activate_final is True
-        for (n1, a1), (n2, a2) in zip(params.named_arrays(), loaded.named_arrays()):
-            assert n1 == n2
-            np.testing.assert_array_equal(a1, a2)

@@ -8,6 +8,7 @@ from wocd import (
     SynthConfig,
     TrainConfig,
     binarize,
+    gcn_norm,
     initial_training,
     refined_training,
     run_pipeline,
@@ -52,8 +53,8 @@ class TestInitialTraining:
         config = quick_config()
         sampled = sample_labels(cover, config.rho, seed=3)
         pseudo = Cover(memberships=cover.memberships.copy())
-        _, t1 = initial_training(graph, x, sampled, pseudo, config)
-        _, t2 = initial_training(graph, x, sampled, pseudo, config)
+        _, t1 = initial_training(gcn_norm(graph), x, sampled, pseudo, config)
+        _, t2 = initial_training(gcn_norm(graph), x, sampled, pseudo, config)
         assert t1 == t2
         assert len(t1) == config.epochs_initial
 
@@ -62,15 +63,15 @@ class TestInitialTraining:
         config = quick_config(lam2=0.0)
         sampled = sample_labels(cover, config.rho, seed=3)
         empty = Cover(memberships=np.zeros_like(cover.memberships))
-        _, t1 = initial_training(graph, x, sampled, cover, config)
-        _, t2 = initial_training(graph, x, sampled, empty, config)
+        _, t1 = initial_training(gcn_norm(graph), x, sampled, cover, config)
+        _, t2 = initial_training(gcn_norm(graph), x, sampled, empty, config)
         assert t1 == t2
 
     def test_loss_decreases(self):
         graph, x, cover = small_instance()
         config = quick_config(epochs_initial=60)
         sampled = sample_labels(cover, config.rho, seed=3)
-        _, trace = initial_training(graph, x, sampled, cover, config)
+        _, trace = initial_training(gcn_norm(graph), x, sampled, cover, config)
         assert trace[-1] < trace[0]
 
 
@@ -79,25 +80,24 @@ class TestRefinedTraining:
         graph, x, cover = small_instance()
         config = quick_config(pseudo=PseudoConfig(r_c=1, tau=1 - 1e-12))
         sampled = sample_labels(cover, config.rho, seed=3)
-        params, _ = initial_training(graph, x, sampled, cover, config)
+        params, _ = initial_training(gcn_norm(graph), x, sampled, cover, config)
         before = params.copy()
-        params, _, report = refined_training(graph, x, sampled, params, config)
+        params, _, report = refined_training(gcn_norm(graph), x, sampled, params, config)
         # with no surviving pseudo-labels only the supervised term remains;
         # compare against an explicit lam2=0 run from the same warm start
         config2 = quick_config(lam2=0.0, pseudo=PseudoConfig(r_c=1, tau=0.5))
-        params2, _, report2 = refined_training(graph, x, sampled, before, config2)
+        params2, _, report2 = refined_training(gcn_norm(graph), x, sampled, before, config2)
         assert report.n_pseudo_refined == 0 or report.loss_trace_refined == report2.loss_trace_refined
 
     def test_epochs_zero_keeps_initial_params(self):
         graph, x, cover = small_instance()
         config = quick_config(epochs_refined=0)
         sampled = sample_labels(cover, config.rho, seed=3)
-        params, _ = initial_training(graph, x, sampled, cover, config)
+        params, _ = initial_training(gcn_norm(graph), x, sampled, cover, config)
         snapshot = params.copy()
-        _, c_final, report = refined_training(graph, x, sampled, params, config,
+        _, c_final, report = refined_training(gcn_norm(graph), x, sampled, params, config,
                                               true_cover=cover)
-        for (_, a), (_, b) in zip(params.named_arrays(), snapshot.named_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(params.flat, snapshot.flat)
         assert report.loss_trace_refined == []
         assert report.onmi == report.onmi_initial
 
@@ -136,10 +136,13 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(graph, x[:10], cover, quick_config())
 
-    def test_select_best_flag_runs(self):
+    def test_refresh_union_keeps_clique_labels(self):
+        # the union with the clique cover can only add pseudo-labeled nodes
         graph, x, cover = small_instance()
-        report = run_pipeline(graph, x, cover, quick_config(select_best=True))
-        assert 0.0 <= report.onmi <= 1.0
+        union = run_pipeline(graph, x, cover, quick_config(refresh_union=True))
+        refresh_only = run_pipeline(graph, x, cover, quick_config())
+        assert union.n_pseudo_refined >= union.n_pseudo_initial
+        assert union.n_pseudo_refined >= refresh_only.n_pseudo_refined
 
 
 class TestTrainConfig:
