@@ -71,6 +71,38 @@ def _slot_common(adj: sp.csr_array) -> np.ndarray:
     return out
 
 
+def _adjacency(graph: Graph) -> sp.csr_array:
+    n, ones = graph.n_nodes, np.ones(graph.indices.size, dtype=np.int32)
+    return sp.csr_array((ones, graph.indices, graph.indptr), shape=(n, n))
+
+
+def _scores(adj: sp.csr_array) -> tuple:
+    """Node priorities and the Salton index of every edge slot, in ``indices`` order.
+
+    A node of degree d whose neighbors share m edges has priority
+    (m + d) / (d + 1), or 0 when isolated; edge (u, v) has Salton index
+    |N(u) & N(v)| / sqrt(d_u * d_v).
+    """
+    n = adj.shape[0]
+    slot_common = _slot_common(adj)
+    deg = np.diff(adj.indptr)
+    degrees = deg.astype(np.float64)
+    src = np.repeat(np.arange(n), deg)
+    m = np.bincount(src, weights=slot_common, minlength=n) / 2.0
+    priority = np.where(degrees > 0, (m + degrees) / (degrees + 1.0), 0.0)
+    inv_sqrt_d = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1.0)), 0.0)
+    return priority, slot_common * inv_sqrt_d[src] * inv_sqrt_d[adj.indices]
+
+
+def _clique_incidence(adj: sp.csr_array, seed_u: np.ndarray, seed_v: np.ndarray) -> sp.csr_array:
+    """Row i is N[u] o N[v] for u, v = seed_u[i], seed_v[i]: {u, v} and their
+    common neighbors, from the closed neighborhoods, with sorted columns."""
+    closed = adj + sp.eye_array(adj.shape[0], dtype=np.int32, format="csr")
+    incidence = closed[seed_u] * closed[seed_v]
+    incidence.sort_indices()
+    return incidence
+
+
 def identify_weak_cliques(graph: Graph) -> CliqueSet:
     """Greedy weak-clique extraction.
 
@@ -85,19 +117,13 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     """
     n = graph.n_nodes
     indptr, indices = graph.indptr, graph.indices
-    adj = sp.csr_array((np.ones(indices.size, dtype=np.int32), indices, indptr), shape=(n, n))
-    slot_common = _slot_common(adj)
-
-    deg = np.diff(indptr)
-    degrees = deg.astype(np.float64)
-    src = np.repeat(np.arange(n), deg)
-    m = np.bincount(src, weights=slot_common, minlength=n) / 2.0
-    priority = np.where(degrees > 0, (m + degrees) / (degrees + 1.0), 0.0)
+    adj = _adjacency(graph)
+    priority, si = _scores(adj)
 
     # each node's partner is its first (smallest-id) most Salton-similar
     # neighbor; consumed neighbors stay eligible, so it is fixed up front
-    inv_sqrt_d = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1.0)), 0.0)
-    si = slot_common * inv_sqrt_d[src] * inv_sqrt_d[indices]
+    deg = np.diff(indptr)
+    src = np.repeat(np.arange(n), deg)
     partner = np.full(n, -1, dtype=np.int64)
     if si.size:
         linked = deg > 0  # reduceat mishandles the empty segments of isolated nodes
@@ -121,8 +147,5 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
 
     seed_u = np.array(seeds, dtype=np.int64)
     seed_v = partner[seed_u]
-    # closed neighborhoods N[u] o N[v] = {u, v} plus the common neighbors
-    closed = adj + sp.eye_array(n, dtype=np.int32, format="csr")
-    incidence = closed[seed_u] * closed[seed_v]
-    incidence.sort_indices()
+    incidence = _clique_incidence(adj, seed_u, seed_v)
     return CliqueSet(seed_u=seed_u, seed_v=seed_v, incidence=incidence)

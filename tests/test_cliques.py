@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from wocd import Graph, identify_weak_cliques
+from wocd.cliques import _adjacency, _clique_incidence, _scores
 
 from conftest import graph_to_adj, random_graph
 from oracles import weak_cliques_reference
@@ -13,6 +15,68 @@ def triangle():
 
 def path3():
     return Graph.from_edges([(0, 1), (1, 2)], 3)
+
+
+def node_priority(graph, u):
+    return _scores(_adjacency(graph))[0][u]
+
+
+def salton_index(graph, u, v):
+    adj = _adjacency(graph)
+    si = sp.csr_array((_scores(adj)[1], adj.indices, adj.indptr), shape=adj.shape)
+    return si[u, v]
+
+
+def weak_clique_members(graph, u, v):
+    inc = _clique_incidence(_adjacency(graph), np.array([u]), np.array([v]))
+    return inc.indices.tolist()
+
+
+def k4():
+    return Graph.from_edges([(u, v) for u in range(4) for v in range(u + 1, 4)], 4)
+
+
+class TestNodePriority:
+    def test_edge_endpoint(self):
+        g = Graph.from_edges([(0, 1)], 2)
+        assert node_priority(g, 0) == 0.5
+
+    def test_triangle_vertex(self):
+        assert node_priority(triangle(), 0) == 1.0
+
+    def test_star_center(self):
+        g = Graph.from_edges([(0, i) for i in range(1, 5)], 5)
+        assert node_priority(g, 0) == pytest.approx(0.8)
+
+    def test_isolated(self):
+        g = Graph.from_edges([(0, 1)], 3)
+        assert node_priority(g, 2) == 0.0
+
+
+class TestSaltonIndex:
+    def test_triangle_pair(self):
+        assert salton_index(triangle(), 0, 1) == pytest.approx(0.5)
+
+    def test_no_common_neighbor(self):
+        assert salton_index(path3(), 0, 1) == 0.0
+
+    def test_k4_pair(self):
+        assert salton_index(k4(), 0, 1) == pytest.approx(2.0 / 3.0)
+
+    def test_isolated_endpoint(self):
+        g = Graph.from_edges([(0, 1)], 3)
+        assert salton_index(g, 0, 2) == 0.0
+
+
+class TestWeakClique:
+    def test_triangle_edge(self):
+        assert weak_clique_members(triangle(), 1, 2) == [0, 1, 2]
+
+    def test_path_edge(self):
+        assert weak_clique_members(path3(), 0, 1) == [0, 1]
+
+    def test_k4_edge(self):
+        assert weak_clique_members(k4(), 0, 1) == [0, 1, 2, 3]
 
 
 class TestIdentifyWeakCliques:
