@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import io
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+
+
+SYNTH_BLOCK = 1 << 20  # entries of the N x N edge draw made at a time
 
 
 class FormatError(ValueError):
@@ -31,9 +36,6 @@ class Graph:
     def n_edges(self) -> int:
         return self.indices.size // 2
 
-    def degree(self, u: int) -> int:
-        return int(self.indptr[u + 1] - self.indptr[u])
-
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
@@ -53,27 +55,26 @@ class Graph:
 
     @classmethod
     def from_edges(cls, pairs, n_nodes: int) -> "Graph":
-        """Build from an iterable of (u, v) pairs.
+        """Build from (u, v) pairs: an (M, 2) integer array or an iterable.
 
         Self-loops are dropped, duplicates collapsed, and the adjacency
         symmetrized.
         """
-        e = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(pairs, np.ndarray):
+            pairs = list(pairs)
+        e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if e.size and (e.min() < 0 or e.max() >= n_nodes):
             raise FormatError("node id out of range")
-        e = e[e[:, 0] != e[:, 1]]
-        if e.size:
-            lo = np.minimum(e[:, 0], e[:, 1])
-            hi = np.maximum(e[:, 0], e[:, 1])
-            und = np.unique(np.stack([lo, hi], axis=1), axis=0)
-            both = np.concatenate([und, und[:, ::-1]])
-        else:
-            both = np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((both[:, 1], both[:, 0]))
-        both = both[order]
-        counts = np.bincount(both[:, 0], minlength=n_nodes)
-        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-        return cls(indptr=indptr, indices=both[:, 1].copy())
+        u, v = e[e[:, 0] != e[:, 1]].T
+        # both directions of every edge as keys src * N + dst; their sorted
+        # distinct values are the CSR slots in row order (a sort and a mask:
+        # np.unique is many times slower on int64 keys)
+        key = np.sort(np.concatenate([u * n_nodes + v, v * n_nodes + u]))
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        src, dst = np.divmod(key[first], n_nodes)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(src, minlength=n_nodes))])
+        return cls(indptr=indptr, indices=dst)
 
 
 @dataclass(frozen=True)
@@ -143,6 +144,10 @@ class SynthConfig:
             raise ValueError("overlap_fraction must be in [0, 1]")
 
 
+_INT = re.compile(r"[+-]?[0-9]+")  # an id: what np.loadtxt reads as int64
+_NOT_ID = re.compile(r"[^0-9+\-:\s]")  # a character no valid cover line has
+
+
 def _parse_header(line: str, key: str):
     prefix = f"#{key}="
     if line.startswith(prefix):
@@ -153,81 +158,144 @@ def _parse_header(line: str, key: str):
     return None
 
 
-def load_edge_list(path) -> Graph:
-    """Read a TSV edge list; '#' lines are comments, '#nodes=N' declares N."""
-    declared_n = None
-    pairs = []
-    max_id = -1
+def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                n = _parse_header(line, "nodes")
-                if n is not None:
-                    declared_n = n
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise FormatError(f"{path}:{lineno}: expected 'u\\tv', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer node id") from exc
-            if u < 0 or v < 0:
-                raise FormatError(f"{path}:{lineno}: negative node id")
-            pairs.append((u, v))
-            max_id = max(max_id, u, v)
+        return fh.read()
+
+
+def _split_comments(text: str):
+    """The stripped '#' lines of ``text``, and ``text`` without them.
+
+    A line is a comment when '#' is its first non-blank character; a '#'
+    after other text stays in the data, where the parsers reject it.
+    """
+    comments, pieces, start = [], [], 0
+    i = text.find("#")
+    while i >= 0:
+        line_start = text.rfind("\n", 0, i) + 1
+        line_end = text.find("\n", i)
+        if line_end < 0:
+            line_end = len(text)
+        if not text[line_start:i].strip():
+            comments.append(text[line_start:line_end].strip())
+            pieces.append(text[start:line_start])
+            start = line_end
+        i = text.find("#", line_end)
+    pieces.append(text[start:])
+    return comments, "".join(pieces)
+
+
+def _header_values(comments, *keys) -> list:
+    """The last value declared for each key, None where undeclared."""
+    values = [None] * len(keys)
+    for line in comments:
+        for i, key in enumerate(keys):
+            value = _parse_header(line, key)
+            if value is not None:
+                values[i] = value
+    return values
+
+
+def _data_lines(text: str, keys):
+    """(line number, stripped line) of every data line, checking each
+    header on the way. Only the error paths of the parsers scan lines."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            _header_values([line], *keys)
+            continue
+        yield lineno, line
+
+
+def _edge_list_error(path, text: str) -> FormatError:
+    """The error for the first malformed line of an edge list."""
+    for lineno, line in _data_lines(text, ("nodes",)):
+        parts = line.split()
+        if len(parts) != 2:
+            return FormatError(f"{path}:{lineno}: expected 'u\\tv', got {line!r}")
+        if not all(_INT.fullmatch(tok) for tok in parts):
+            return FormatError(f"{path}:{lineno}: non-integer node id")
+        if min(int(tok) for tok in parts) < 0:
+            return FormatError(f"{path}:{lineno}: negative node id")
+    return FormatError(f"{path}: malformed edge list")
+
+
+def load_edge_list(path) -> Graph:
+    """Read an edge list of 'u v' lines; '#' lines are comments and
+    '#nodes=N' declares N (the README gives the exact format)."""
+    text = _read_text(path)
+    comments, data = _split_comments(text)
+    try:
+        (declared_n,) = _header_values(comments, "nodes")
+        if not data.strip():  # np.loadtxt warns on input without data
+            e = np.empty((0, 2), dtype=np.int64)
+        else:
+            e = np.loadtxt(io.StringIO(data), dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        e = None
+    if e is None or e.shape[1] != 2 or (e.size and e.min() < 0):
+        raise _edge_list_error(path, text)
+    max_id = int(e.max()) if e.size else -1
     n_nodes = max_id + 1 if declared_n is None else declared_n
     if max_id >= n_nodes:
         raise FormatError(f"node id {max_id} >= declared #nodes={n_nodes}")
-    return Graph.from_edges(pairs, n_nodes)
+    return Graph.from_edges(e, n_nodes)
 
 
 def write_edge_list(graph: Graph, path) -> None:
+    ids = np.array([str(v) for v in range(graph.n_nodes)], dtype=object)
+    pairs = graph.edge_pairs()
+    cells = np.empty((len(pairs), 4), dtype=object)  # u, tab, v, newline
+    cells[:, 0::2] = ids[pairs]
+    cells[:, 1] = "\t"
+    cells[:, 3] = "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#nodes={graph.n_nodes}\n")
-        for u, v in graph.edge_pairs():
-            fh.write(f"{u}\t{v}\n")
+        fh.write(f"#nodes={graph.n_nodes}\n" + "".join(cells.ravel().tolist()))
+
+
+def _cover_error(path, text: str) -> FormatError:
+    """The error for the first malformed line of a cover file."""
+    seen = set()
+    for lineno, line in _data_lines(text, ("nodes", "communities")):
+        if ":" not in line:
+            return FormatError(f"{path}:{lineno}: expected 'node: c1 c2 ...'")
+        head, _, tail = line.partition(":")
+        tokens = [head.strip()] + tail.split()
+        if not all(_INT.fullmatch(tok) for tok in tokens):
+            return FormatError(f"{path}:{lineno}: non-integer id")
+        ids = [int(tok) for tok in tokens]
+        if min(ids) < 0:
+            return FormatError(f"{path}:{lineno}: negative id")
+        if ids[0] in seen:
+            return FormatError(f"{path}:{lineno}: duplicate node line for {ids[0]}")
+        seen.add(ids[0])
+    return FormatError(f"{path}: malformed cover")
 
 
 def load_cover(path) -> Cover:
-    """Read 'node_id: c1 c2 ...' lines; headers may declare nodes/communities."""
-    declared_n = None
-    declared_k = None
-    rows = {}
-    max_node = -1
-    max_comm = -1
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                n = _parse_header(line, "nodes")
-                if n is not None:
-                    declared_n = n
-                k = _parse_header(line, "communities")
-                if k is not None:
-                    declared_k = k
-                continue
-            if ":" not in line:
-                raise FormatError(f"{path}:{lineno}: expected 'node: c1 c2 ...'")
-            head, _, tail = line.partition(":")
-            try:
-                node = int(head)
-                comms = [int(tok) for tok in tail.split()]
-            except ValueError as exc:
-                raise FormatError(f"{path}:{lineno}: non-integer id") from exc
-            if node < 0 or any(c < 0 for c in comms):
-                raise FormatError(f"{path}:{lineno}: negative id")
-            if node in rows:
-                raise FormatError(f"{path}:{lineno}: duplicate node line for {node}")
-            rows[node] = comms
-            max_node = max(max_node, node)
-            if comms:
-                max_comm = max(max_comm, max(comms))
+    """Read 'node: c1 c2 ...' lines; '#nodes=N' and '#communities=K'
+    headers may declare the shape (the README gives the exact format)."""
+    text = _read_text(path)
+    comments, data = _split_comments(text)
+    rows = [line.partition(":") for line in data.split("\n") if line.strip()]
+    comms = [tail.split() for _, _, tail in rows]
+    try:
+        declared_n, declared_k = _header_values(comments, "nodes", "communities")
+        ids = np.array([int(head) for head, _, _ in rows]
+                       + [int(tok) for toks in comms for tok in toks], dtype=np.int64)
+    except (ValueError, OverflowError):
+        ids = None
+    if (ids is None or _NOT_ID.search(data) or not all(sep for _, sep, _ in rows)
+            or (ids.size and ids.min() < 0)):
+        raise _cover_error(path, text)
+    nodes, comm_ids = ids[:len(rows)], ids[len(rows):]
+    ordered = np.sort(nodes)
+    if (ordered[1:] == ordered[:-1]).any():  # a node with two lines
+        raise _cover_error(path, text)
+    max_node = int(nodes.max()) if nodes.size else -1
+    max_comm = int(comm_ids.max()) if comm_ids.size else -1
     n_nodes = max_node + 1 if declared_n is None else declared_n
     n_comm = max_comm + 1 if declared_k is None else declared_k
     if max_node >= n_nodes:
@@ -235,18 +303,21 @@ def load_cover(path) -> Cover:
     if max_comm >= n_comm:
         raise FormatError(f"community id {max_comm} >= declared #communities={n_comm}")
     m = np.zeros((n_nodes, max(n_comm, 0)), dtype=np.uint8)
-    for node, comms in rows.items():
-        m[node, comms] = 1
+    m[np.repeat(nodes, [len(toks) for toks in comms]), comm_ids] = 1
     return Cover(memberships=m)
 
 
 def write_cover(cover: Cover, path) -> None:
+    n, k = cover.memberships.shape
+    nodes, comms = np.nonzero(cover.memberships)  # row-major: ascending per node
+    # one cell per node ("\nv:") followed by one per membership (" c")
+    cells = np.empty(n + nodes.size, dtype=object)
+    is_head = np.zeros(cells.size, dtype=bool)
+    is_head[np.arange(n) + np.searchsorted(nodes, np.arange(n))] = True
+    cells[is_head] = np.array([f"\n{v}:" for v in range(n)], dtype=object)
+    cells[~is_head] = np.array([f" {c}" for c in range(k)], dtype=object)[comms]
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"#nodes={cover.n_nodes}\n")
-        fh.write(f"#communities={cover.n_communities}\n")
-        for v in range(cover.n_nodes):
-            cs = " ".join(str(c) for c in cover.communities_of(v))
-            fh.write(f"{v}: {cs}".rstrip() + "\n")
+        fh.write(f"#nodes={n}\n#communities={k}" + "".join(cells.tolist()) + "\n")
 
 
 def load_features(path, header: bool = False) -> np.ndarray:
@@ -284,15 +355,24 @@ def synth_graph(config: SynthConfig):
         memb[chosen, second] = 1
     cover = Cover(memberships=memb)
 
-    if config.overlap_edges:
-        share = (memb.astype(np.int64) @ memb.T.astype(np.int64)) > 0
-    else:
-        share = primary[:, None] == primary[None, :]
-    prob = np.where(share, config.p_in, config.p_out)
-    draw = rng.random((n, n))
-    iu, ju = np.triu_indices(n, k=1)
-    keep = draw[iu, ju] < prob[iu, ju]
-    graph = Graph.from_edges(np.stack([iu[keep], ju[keep]], axis=1), n)
+    # the N x N uniform draw is made a block of rows at a time, and only its
+    # upper triangle is used; Generator.random fills in C order, so the edges
+    # are those of a single (N, N) draw
+    nodes = np.arange(n)
+    memb_t = memb.T.astype(np.int64)
+    edges = []
+    step = max(1, SYNTH_BLOCK // n)
+    for start in range(0, n, step):
+        rows = nodes[start:start + step]
+        if config.overlap_edges:
+            share = (memb[rows].astype(np.int64) @ memb_t) > 0
+        else:
+            share = primary[rows, None] == primary[None, :]
+        prob = np.where(share, config.p_in, config.p_out)
+        keep = (rng.random((rows.size, n)) < prob) & (nodes > rows[:, None])
+        i, j = np.nonzero(keep)
+        edges.append(np.stack([rows[i], j], axis=1))
+    graph = Graph.from_edges(np.concatenate(edges), n)
 
     d = k * config.dims_per_community
     prob_x = np.full((n, d), config.feature_noise)

@@ -1,12 +1,15 @@
 """Independent reference implementations used only as test oracles.
 
 Deliberately naive: plain dicts/sets/loops and dense matrices, written
-directly from the procedure definitions, sharing no code with the package.
+directly from the procedure definitions, sharing no code with the package
+beyond its result types (``Graph``, ``Cover``) and ``FormatError``.
 """
 
 import math
 
 import numpy as np
+
+from wocd import Cover, FormatError, Graph
 
 
 def weak_cliques_reference(adj):
@@ -141,3 +144,158 @@ def finite_difference_grads(fn, params, step=1e-4):
             fd[i] = (fp - fm) / (2.0 * step)
         out[name] = fd
     return out
+
+
+def graph_from_edges_naive(pairs, n_nodes):
+    """CSR graph from (u, v) pairs through a set of neighbors per node."""
+    adj = [set() for _ in range(n_nodes)]
+    for u, v in pairs:
+        u, v = int(u), int(v)
+        if not (0 <= u < n_nodes and 0 <= v < n_nodes):
+            raise FormatError("node id out of range")
+        if u != v:
+            adj[u].add(v)
+            adj[v].add(u)
+    indptr = np.zeros(n_nodes + 1, dtype=np.int64)
+    indices = []
+    for u, nbrs in enumerate(adj):
+        indices.extend(sorted(nbrs))
+        indptr[u + 1] = len(indices)
+    return Graph(indptr=indptr, indices=np.array(indices, dtype=np.int64))
+
+
+def _parse_header_loop(line, key):
+    prefix = f"#{key}="
+    if line.startswith(prefix):
+        try:
+            return int(line[len(prefix):])
+        except ValueError as exc:
+            raise FormatError(f"bad header line: {line!r}") from exc
+    return None
+
+
+def load_edge_list_loop(path):
+    """The line-by-line edge-list parser the vectorised one replaced."""
+    declared_n = None
+    pairs = []
+    max_id = -1
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                n = _parse_header_loop(line, "nodes")
+                if n is not None:
+                    declared_n = n
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise FormatError(f"{path}:{lineno}: expected 'u\\tv', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-integer node id") from exc
+            if u < 0 or v < 0:
+                raise FormatError(f"{path}:{lineno}: negative node id")
+            pairs.append((u, v))
+            max_id = max(max_id, u, v)
+    n_nodes = max_id + 1 if declared_n is None else declared_n
+    if max_id >= n_nodes:
+        raise FormatError(f"node id {max_id} >= declared #nodes={n_nodes}")
+    return graph_from_edges_naive(pairs, n_nodes)
+
+
+def load_cover_loop(path):
+    """The line-by-line cover parser the vectorised one replaced."""
+    declared_n = None
+    declared_k = None
+    rows = {}
+    max_node = -1
+    max_comm = -1
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                n = _parse_header_loop(line, "nodes")
+                if n is not None:
+                    declared_n = n
+                k = _parse_header_loop(line, "communities")
+                if k is not None:
+                    declared_k = k
+                continue
+            if ":" not in line:
+                raise FormatError(f"{path}:{lineno}: expected 'node: c1 c2 ...'")
+            head, _, tail = line.partition(":")
+            try:
+                node = int(head)
+                comms = [int(tok) for tok in tail.split()]
+            except ValueError as exc:
+                raise FormatError(f"{path}:{lineno}: non-integer id") from exc
+            if node < 0 or any(c < 0 for c in comms):
+                raise FormatError(f"{path}:{lineno}: negative id")
+            if node in rows:
+                raise FormatError(f"{path}:{lineno}: duplicate node line for {node}")
+            rows[node] = comms
+            max_node = max(max_node, node)
+            if comms:
+                max_comm = max(max_comm, max(comms))
+    n_nodes = max_node + 1 if declared_n is None else declared_n
+    n_comm = max_comm + 1 if declared_k is None else declared_k
+    if max_node >= n_nodes:
+        raise FormatError(f"node id {max_node} >= declared #nodes={n_nodes}")
+    if max_comm >= n_comm:
+        raise FormatError(f"community id {max_comm} >= declared #communities={n_comm}")
+    m = np.zeros((n_nodes, max(n_comm, 0)), dtype=np.uint8)
+    for node, comms in rows.items():
+        m[node, comms] = 1
+    return Cover(memberships=m)
+
+
+def _h_scalar(count, n):
+    if count <= 0:
+        return 0.0
+    p = count / n
+    return -p * np.log(p)
+
+
+def onmi_loop(x, y):
+    """ONMI of two covers by the per-pair double loop the vectorised one
+    replaced, in its exact float operation order."""
+    if x.n_nodes != y.n_nodes:
+        raise ValueError("covers disagree on the number of nodes")
+    n = x.n_nodes
+    ma = x.memberships.astype(np.float64)
+    mb = y.memberships.astype(np.float64)
+    a = ma[:, ma.sum(axis=0) > 0]
+    b = mb[:, mb.sum(axis=0) > 0]
+    if a.shape[1] == 0 or b.shape[1] == 0:
+        return 0.0
+
+    def cond_norm(a, b):
+        overlap = a.T @ b
+        size_a = a.sum(axis=0)
+        size_b = b.sum(axis=0)
+        total = 0.0
+        for i in range(a.shape[1]):
+            h_ai = _h_scalar(size_a[i], n) + _h_scalar(n - size_a[i], n)
+            best = h_ai
+            for j in range(b.shape[1]):
+                n11 = overlap[i, j]
+                n10 = size_a[i] - n11
+                n01 = size_b[j] - n11
+                n00 = n - n11 - n10 - n01
+                if _h_scalar(n11, n) + _h_scalar(n00, n) < _h_scalar(n10, n) + _h_scalar(n01, n):
+                    continue
+                h_bj = _h_scalar(size_b[j], n) + _h_scalar(n - size_b[j], n)
+                joint = (_h_scalar(n11, n) + _h_scalar(n10, n) + _h_scalar(n01, n)
+                         + _h_scalar(n00, n))
+                best = min(best, joint - h_bj)
+            if h_ai > 0:
+                total += best / h_ai
+        return total / a.shape[1]
+
+    value = 1.0 - 0.5 * (cond_norm(a, b) + cond_norm(b, a))
+    return float(min(max(value, 0.0), 1.0))

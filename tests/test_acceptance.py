@@ -268,13 +268,15 @@ def test_criterion_10_clique_construction_scaling():
         v = rng.integers(0, n, size=int(m * 1.2))
         keep = u != v
         g = Graph.from_edges(np.stack([u[keep], v[keep]], axis=1)[:m], n)
-        # best of three: a preempted run only ever adds time
-        best = np.inf
-        for _ in range(3):
-            start = time.perf_counter()
+        # CPU time, the best of at least three runs and at least 0.25 s: wall
+        # time also counts the slices other processes get on a busy machine,
+        # and a run disturbed in other ways only ever takes longer
+        runs = []
+        while len(runs) < 3 or sum(runs) < 0.25:
+            start = time.process_time()
             identify_weak_cliques(g)
-            best = min(best, time.perf_counter() - start)
-        times.append(best)
+            runs.append(time.process_time() - start)
+        times.append(min(runs))
         m *= 2
     ratios = [times[i + 1] / times[i] for i in range(len(times) - 1)]
     assert all(r <= 3.0 for r in ratios), f"ratios {ratios}"

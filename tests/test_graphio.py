@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from wocd import (
 )
 
 from conftest import random_cover
+from oracles import load_cover_loop, load_edge_list_loop
 
 
 def _write(tmp_path, name, text):
@@ -100,6 +103,109 @@ class TestCover:
         write_cover(c, path)
         c2 = load_cover(path)
         assert np.array_equal(c.memberships, c2.memberships)
+
+
+def _raises_like_loop(load, load_loop, path):
+    with pytest.raises(FormatError) as want:
+        load_loop(path)
+    with pytest.raises(FormatError) as got:
+        load(path)
+    assert str(got.value) == str(want.value)
+
+
+def _loads_like_loop(load, load_loop, path):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # e.g. np.loadtxt's "input contained no data"
+        got = load(path)
+    want = load_loop(path)
+    for name in ("indptr", "indices", "memberships"):
+        if hasattr(want, name):
+            assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    return got
+
+
+class TestEdgeListMatchesLoop:
+    """The vectorised parser against the line-by-line one it replaced."""
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "#nodes=4\n", "#nodes=4", "# comment only\n",
+        "0\t1\n1\t2\n", "0 1\n1     2\n", "0\t1", "  0\t1  \n\t2 3\t\n",
+        "0\t1\r\n1\t2\r\n", "0\t1\r1\t2\r",
+        "#nodes=9\n0\t1\n# mid-file comment\n  # indented #comment\n2\t3\n",
+        "0\t1\n\n   \n2\t3\n\n",
+        "#nodes=9\n0\t1\n#nodes=5\n",  # the last #nodes= wins
+        "#communities=x\n0\t1\n",  # not a header of edge lists
+        "0\t0\n1\t1\n#nodes=3\n", "+1\t2\n-0\t2\n007\t3\n",
+        "0\xa01\n", "#nodes=2\n",
+    ])
+    def test_accepts(self, tmp_path, text):
+        _loads_like_loop(load_edge_list, load_edge_list_loop, _write(tmp_path, "e.tsv", text))
+
+    @pytest.mark.parametrize("text", [
+        "0\n", "0\t1\n2\n", "0 1 2\n", "0\t1\n2\t3\t4\n5\t6\n",
+        "1.5\t2\n", "0\t1\nx\t2\n", "0\t1e3\n", "0\t1#c\n", "0\t1 # c\n",
+        "-1\t2\n", "0\t1\n3\t-2\n", "#nodes=2\n1\t5\n", "0\t5\n#nodes=3\n",
+        "#nodes=x\n0\t1\n", "0\t1\n#nodes=\n", "0\tx\n#nodes=x\n",
+        "#nodes=x\n0\tx\n", "0\t1\r\n2\r\n", "0\t1\n  3  \n",
+    ])
+    def test_rejects_with_same_message(self, tmp_path, text):
+        _raises_like_loop(load_edge_list, load_edge_list_loop,
+                          _write(tmp_path, "e.tsv", text))
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_ids_are_ascii_decimal(self, tmp_path, token):
+        # narrower than Python's int(), which the line-by-line parser used
+        path = _write(tmp_path, "e.tsv", f"0\t1\n{token}\t2\n")
+        with pytest.raises(FormatError, match=r"e\.tsv:2: non-integer node id"):
+            load_edge_list(path)
+
+    def test_synth_file(self, tmp_path):
+        g, _, _ = synth_graph(SynthConfig(n_nodes=300, n_communities=3, seed=4))
+        path = tmp_path / "e.tsv"
+        write_edge_list(g, path)
+        got = _loads_like_loop(load_edge_list, load_edge_list_loop, path)
+        assert np.array_equal(got.indices, g.indices)
+
+
+class TestCoverMatchesLoop:
+    """The vectorised parser against the line-by-line one it replaced."""
+
+    @pytest.mark.parametrize("text", [
+        "", "\n", "#nodes=3\n", "#nodes=3\n#communities=2", "#communities=2\n",
+        "0: 1 3\n", "0:1 3\n2 :\n1:\t0\n", "0: 1\n3:\n",
+        "#communities=4\n0: 1\r\n1: 2 3\r\n", "0: 1\r1: 0\r",
+        "  0: 1   3  \n\n   \n1: 2\n",
+        "0: 1\n# mid-file\n  #indented\n1: 0\n",
+        "#nodes=2\n#communities=9\n0: 1\n#nodes=5\n#communities=3\n",
+        "0: 1 1 2\n", "+1: +2\n-0: 0\n",
+    ])
+    def test_accepts(self, tmp_path, text):
+        _loads_like_loop(load_cover, load_cover_loop, _write(tmp_path, "c.txt", text))
+
+    @pytest.mark.parametrize("text", [
+        "0 1\n", "0: 1\n2\n", "1.5: 2\n", "x: 1\n", "0: 1\n1: x\n", "0: 1.5\n",
+        ": 1\n", "1 2: 3\n", "0: 1#c\n", "-1: 2\n", "0: 1\n1: 0 -2\n",
+        "0: 1\n0: 2\n", "0: 1\n1: 0\n0:\n", "#communities=2\n0: 5\n",
+        "#nodes=2\n3: 1\n", "0: 1\n#communities=1\n", "#communities=a\n0: 1\n",
+        "0: x\n#nodes=y\n", "#nodes=y\n0: x\n", "0: 1\r\n2 3\r\n",
+        "#nodes=-1\n", "#communities=-1\n",
+    ])
+    def test_rejects_with_same_message(self, tmp_path, text):
+        _raises_like_loop(load_cover, load_cover_loop, _write(tmp_path, "c.txt", text))
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0661"])
+    def test_ids_are_ascii_decimal(self, tmp_path, token):
+        # narrower than Python's int(), which the line-by-line parser used
+        path = _write(tmp_path, "c.txt", f"0: 1\n1: {token}\n")
+        with pytest.raises(FormatError, match=r"c\.txt:2: non-integer id"):
+            load_cover(path)
+
+    def test_written_cover(self, tmp_path, rng):
+        c = random_cover(rng, 200, 30, p=0.05)
+        path = tmp_path / "c.txt"
+        write_cover(c, path)
+        _loads_like_loop(load_cover, load_cover_loop, path)
 
 
 class TestFeatures:

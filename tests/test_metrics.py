@@ -4,7 +4,7 @@ import pytest
 from wocd import Cover, metric_report, onmi
 
 from conftest import random_cover
-from oracles import onmi_reference
+from oracles import onmi_loop, onmi_reference
 
 
 def cover_from_sets(sets, n):
@@ -70,6 +70,24 @@ class TestOnmi:
         padded = Cover(memberships=np.concatenate(
             [y.memberships, np.zeros((12, 2), dtype=np.uint8)], axis=1))
         assert onmi(x, padded) == pytest.approx(onmi(x, y), abs=1e-12)
+
+
+    def test_equals_per_pair_loop_exactly(self, rng):
+        # random covers up to K=100 with empty columns and zero-entropy
+        # (all-member) columns; the float must be the loop's to the last bit
+        for trial in range(40):
+            n = int(rng.integers(1, 300))
+            covers = []
+            for _ in range(2):
+                k = int(rng.integers(0, 101))
+                m = (rng.random((n, k)) < rng.uniform(0.0, 0.5)).astype(np.uint8)
+                cols = rng.random(k)
+                m[:, cols < 0.1] = 0
+                m[:, cols > 0.9] = 1
+                covers.append(Cover(memberships=m))
+            x, y = covers
+            assert onmi(x, y) == onmi_loop(x, y)
+            assert onmi(y, x) == onmi_loop(y, x)
 
 
 class TestMetricReport:
