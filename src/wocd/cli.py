@@ -184,14 +184,12 @@ def cmd_eval(args) -> int:
 
 def cmd_ablate(args) -> int:
     graph, x, cover = _load_inputs(args)
-    rhos = [float(tok) for tok in args.rhos.split(",")]
-    seeds = [int(tok) for tok in args.seeds.split(",")]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
 
     rows = []
-    for rho in rhos:
-        for seed in seeds:
+    for rho in args.rhos:
+        for seed in args.seeds:
             config = _build_config(args)
             config = TrainConfig.from_dict({**config.to_dict(), "rho": rho, "seed": seed})
             report = run_pipeline(graph, x, cover, config)
@@ -209,7 +207,7 @@ def cmd_ablate(args) -> int:
     with open(out / "sweep_summary.csv", "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(["rho", "n_seeds", "onmi_pct_mean", "onmi_pct_std"])
-        for rho in rhos:
+        for rho in args.rhos:
             vals = np.array([rep.onmi for r, _, rep in rows if r == rho])
             w.writerow([rho, vals.size, f"{100 * vals.mean():.1f}",
                         f"{100 * vals.std():.1f}"])
@@ -221,6 +219,18 @@ def cmd_ablate(args) -> int:
         )
         fh.write("\n")
     return 0
+
+
+def _comma_list(kind):
+    """argparse type: a comma-separated list of ``kind`` values, so a
+    malformed list is a usage error before any input is read."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(tok) for tok in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma list of {kind.__name__}: {text!r}") from None
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,8 +289,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", type=Path, required=True)
     p.add_argument("--cover", type=Path, required=True)
     p.add_argument("--features-header", action="store_true")
-    p.add_argument("--rhos", type=str, required=True, help="comma list, e.g. 0.05,0.1")
-    p.add_argument("--seeds", type=str, required=True, help="comma list, e.g. 0,1,2")
+    p.add_argument("--rhos", type=_comma_list(float), required=True,
+                   help="comma list, e.g. 0.05,0.1")
+    p.add_argument("--seeds", type=_comma_list(int), required=True,
+                   help="comma list, e.g. 0,1,2")
     p.add_argument("--out", type=Path, required=True)
     _add_train_flags(p)
     p.set_defaults(func=cmd_ablate)

@@ -359,13 +359,16 @@ def synth_graph(config: SynthConfig):
     # upper triangle is used; Generator.random fills in C order, so the edges
     # are those of a single (N, N) draw
     nodes = np.arange(n)
-    memb_t = memb.T.astype(np.int64)
+    # shared-community counts as a float32 product, which runs through BLAS;
+    # a node has at most two communities, so every count (<= 2) is exact
+    memb_f = memb.astype(np.float32)
+    memb_t = memb_f.T.copy()
     edges = []
     step = max(1, SYNTH_BLOCK // n)
     for start in range(0, n, step):
         rows = nodes[start:start + step]
         if config.overlap_edges:
-            share = (memb[rows].astype(np.int64) @ memb_t) > 0
+            share = (memb_f[rows] @ memb_t) > 0
         else:
             share = primary[rows, None] == primary[None, :]
         prob = np.where(share, config.p_in, config.p_out)

@@ -101,17 +101,20 @@ def _relu(x):
     return np.maximum(x, 0.0)
 
 
-def gcn_forward(params: ModelParams, p_mat, x: np.ndarray, cache: dict | None = None) -> np.ndarray:
-    """Three propagation layers; the last one emits pre-activations unless
-    activate_final is set."""
-    z = np.asarray(x, dtype=np.float64)
+def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None) -> np.ndarray:
+    """Three propagation layers over ``px = p_mat @ x``, which no weight
+    touches and so is computed once by the caller; the last layer emits
+    pre-activations unless activate_final is set."""
     n_layers = len(params.gcn_w)
     if cache is not None:
-        cache["gcn_m"] = []  # P @ Z_l per layer
+        cache["gcn_m"] = []  # P @ Z_l per layer, px for the first
         cache["gcn_pre"] = []
+    m = px
     for l, (w, b) in enumerate(zip(params.gcn_w, params.gcn_b)):
-        m = p_mat @ z
-        pre = m @ w + b
+        if l > 0:
+            m = p_mat @ z
+        pre = m @ w
+        pre += b
         if cache is not None:
             cache["gcn_m"].append(m)
             cache["gcn_pre"].append(pre)
@@ -122,16 +125,17 @@ def gcn_forward(params: ModelParams, p_mat, x: np.ndarray, cache: dict | None = 
     return z
 
 
-def _gcn_backward(params: ModelParams, p_mat, x, cache, d_out, grads) -> None:
+def _gcn_backward(params: ModelParams, p_mat, cache, d_out, grads) -> None:
+    """Overwrites d_out and pops each layer's cache entries after their
+    last read."""
     n_layers = len(params.gcn_w)
     d = d_out
     for l in range(n_layers - 1, -1, -1):
-        pre = cache["gcn_pre"][l]
-        last = l == n_layers - 1
-        if not (last and not params.activate_final):
-            d = d * (pre > 0)
-        m = cache["gcn_m"][l]
-        grads.gcn_w[l] += m.T @ d
+        pre = cache["gcn_pre"].pop()
+        if l < n_layers - 1 or params.activate_final:
+            d *= pre > 0
+        del pre
+        grads.gcn_w[l] += cache["gcn_m"].pop().T @ d
         grads.gcn_b[l] += d.sum(axis=0)
         if l > 0:
             # P is symmetric, so d(P @ Z) / dZ pulls back through P itself
@@ -145,63 +149,96 @@ def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | N
     """
     x = np.asarray(x, dtype=np.float64)
     n = x.shape[0]
-    z0 = x @ params.input_proj_w + params.input_proj_b
-    q = z0 @ params.gt_q_w + params.gt_q_b
-    k = z0 @ params.gt_k_w + params.gt_k_b
-    v = z0 @ params.gt_v_w + params.gt_v_b
+    z0 = x @ params.input_proj_w
+    z0 += params.input_proj_b
+    q = z0 @ params.gt_q_w
+    q += params.gt_q_b
+    k = z0 @ params.gt_k_w
+    k += params.gt_k_b
+    v = z0 @ params.gt_v_w
+    v += params.gt_v_b
     qn = np.linalg.norm(q)
     kn = np.linalg.norm(k)
     if qn == 0.0 or kn == 0.0:
         raise DegenerateProjectionError("Q or K has zero Frobenius norm")
-    qt = q / qn
-    kt = k / kn
-    s = kt.sum(axis=0)  # K~^T 1
-    denom = 1.0 + (qt @ s) / n  # diagonal of D
-    w_kv = kt.T @ v  # h x h
-    u = v + (qt @ w_kv) / n
-    z_gt = gamma * (u / denom[:, None]) + (1.0 - gamma) * z0
+    q /= qn  # Q~ and K~ from here on
+    k /= kn
+    s = k.sum(axis=0)  # K~^T 1
+    denom = q @ s  # diagonal of D
+    denom /= n
+    denom += 1.0
+    w_kv = k.T @ v  # h x h
+    u = q @ w_kv
+    u /= n
+    u += v
+    z_gt = u / denom[:, None]
+    z_gt *= gamma
+    z_gt += (1.0 - gamma) * z0
     if cache is not None:
         cache.update(
-            gt_z0=z0, gt_q=q, gt_k=k, gt_v=v, gt_qn=qn, gt_kn=kn, gt_qt=qt,
-            gt_kt=kt, gt_s=s, gt_denom=denom, gt_wkv=w_kv, gt_u=u,
+            gt_z0=z0, gt_v=v, gt_qn=qn, gt_kn=kn, gt_qt=q, gt_kt=k, gt_s=s,
+            gt_denom=denom, gt_wkv=w_kv, gt_u=u,
         )
     return z_gt
 
 
-def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
-    n = x.shape[0]
-    z0, qt, kt = cache["gt_z0"], cache["gt_qt"], cache["gt_kt"]
-    v, s, denom = cache["gt_v"], cache["gt_s"], cache["gt_denom"]
-    w_kv, u = cache["gt_wkv"], cache["gt_u"]
+def _normalized_backward(d_t, t, norm):
+    """Gradient w.r.t. T from d_t = dL/dT~ and T~ = T / norm, norm = ||T||_F.
+    Overwrites d_t (which it returns) and t."""
+    t *= (d_t * t).sum()
+    d_t -= t
+    d_t /= norm
+    return d_t
 
-    d_u = gamma * d_out / denom[:, None]
-    d_denom = -gamma * (d_out * u).sum(axis=1) / denom**2
-    d_z0 = (1.0 - gamma) * d_out
+
+def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
+    """Overwrites d_out and pops each cache entry after its last read."""
+    n = x.shape[0]
+    denom, u = cache.pop("gt_denom"), cache.pop("gt_u")
+
+    # Z_gt = gamma U / denom + (1 - gamma) Z0
+    d_u = gamma * d_out
+    d_u /= denom[:, None]
+    u *= d_out
+    d_denom = -gamma * u.sum(axis=1) / denom**2
+    del u, denom
+    d_z0 = d_out
+    d_z0 *= 1.0 - gamma
 
     # U = V + Q~ (K~^T V) / N
-    d_v = d_u.copy()
-    d_qt = (d_u @ w_kv.T) / n
+    qt, kt = cache.pop("gt_qt"), cache.pop("gt_kt")
+    d_qt = d_u @ cache.pop("gt_wkv").T
+    d_qt /= n
     d_wkv = (qt.T @ d_u) / n
-    d_kt = v @ d_wkv.T
+    d_kt = cache.pop("gt_v") @ d_wkv.T
+    d_v = d_u
     d_v += kt @ d_wkv
 
     # denom = 1 + Q~ s / N, s = K~^T 1
-    d_qt += np.outer(d_denom, s) / n
+    d_outer = np.outer(d_denom, cache.pop("gt_s"))
+    d_outer /= n
+    d_qt += d_outer
     d_s = (qt.T @ d_denom) / n
     d_kt += d_s[None, :]
 
-    # Q~ = Q / ||Q||_F
-    d_q = (d_qt - (d_qt * qt).sum() * qt) / cache["gt_qn"]
-    d_k = (d_kt - (d_kt * kt).sum() * kt) / cache["gt_kn"]
+    # Q~ = Q / ||Q||_F, K~ = K / ||K||_F
+    d_q = _normalized_backward(d_qt, qt, cache.pop("gt_qn"))
+    d_k = _normalized_backward(d_kt, kt, cache.pop("gt_kn"))
+    del qt, kt
 
+    z0 = cache.pop("gt_z0")
     grads.gt_q_w += z0.T @ d_q
     grads.gt_q_b += d_q.sum(axis=0)
     grads.gt_k_w += z0.T @ d_k
     grads.gt_k_b += d_k.sum(axis=0)
     grads.gt_v_w += z0.T @ d_v
     grads.gt_v_b += d_v.sum(axis=0)
+    del z0
 
-    d_z0 += d_q @ params.gt_q_w.T + d_k @ params.gt_k_w.T + d_v @ params.gt_v_w.T
+    d_proj = d_q @ params.gt_q_w.T
+    d_proj += d_k @ params.gt_k_w.T
+    d_proj += d_v @ params.gt_v_w.T
+    d_z0 += d_proj
     grads.input_proj_w += x.T @ d_z0
     grads.input_proj_b += d_z0.sum(axis=0)
 
@@ -216,16 +253,20 @@ def _sigmoid(x):
 
 
 def predict(params: ModelParams, fusion: FusionParams, p_mat, x: np.ndarray,
-            cache: dict | None = None) -> np.ndarray:
-    """Fused community-probability matrix, logistic over the linear head."""
-    z_gcn = gcn_forward(params, p_mat, x, cache)
-    z_gt = gt_forward(params, x, fusion.gamma, cache)
-    fused = fusion.alpha * z_gcn + fusion.beta * z_gt
-    logits = fused @ params.head_w + params.head_b
-    c_pred = _sigmoid(logits)
+            px: np.ndarray, cache: dict | None = None) -> np.ndarray:
+    """Fused community-probability matrix, logistic over the linear head.
+
+    px is ``p_mat @ x``.
+    """
+    z_gcn = gcn_forward(params, p_mat, px, cache)
+    fused = gt_forward(params, x, fusion.gamma, cache)
+    fused *= fusion.beta
+    fused += fusion.alpha * z_gcn
+    logits = fused @ params.head_w
+    logits += params.head_b
     if cache is not None:
-        cache.update(fused=fused, logits=logits, c_pred=c_pred)
-    return c_pred
+        cache["fused"] = fused
+    return _sigmoid(logits)
 
 
 def _bce_masks(n_nodes: int, sampled: SampledLabels, pseudo: Cover | None):
@@ -273,25 +314,28 @@ def _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2):
     return float(total), d_pred
 
 
-def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x,
+def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
                        sampled: SampledLabels, pseudo: Cover | None,
                        lam1: float, lam2: float):
     """Exact analytic gradients of the dual-BCE objective.
 
-    Returns (loss, grads); grads is a ModelParams laid out like params.
+    px is ``p_mat @ x``. Returns (loss, grads); grads is a ModelParams laid
+    out like params. The backward pass drops each cached activation after its
+    last read, so the forward pass's buffers are freed as it goes.
     """
     cache: dict = {}
-    c_pred = predict(params, fusion, p_mat, x, cache)
-    value, d_pred = _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2)
+    c_pred = predict(params, fusion, p_mat, x, px, cache)
+    value, d_logits = _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2)
 
     grads = ModelParams(params.dims, params.activate_final)
-    d_logits = d_pred * c_pred * (1.0 - c_pred)
-    fused = cache["fused"]
-    grads.head_w += fused.T @ d_logits
+    d_logits *= c_pred
+    d_logits *= 1.0 - c_pred
+    grads.head_w += cache.pop("fused").T @ d_logits
     grads.head_b += d_logits.sum(axis=0)
     d_fused = d_logits @ params.head_w.T
-    _gcn_backward(params, p_mat, x, cache, fusion.alpha * d_fused, grads)
-    _gt_backward(params, x, fusion.gamma, cache, fusion.beta * d_fused, grads)
+    _gcn_backward(params, p_mat, cache, fusion.alpha * d_fused, grads)
+    d_fused *= fusion.beta
+    _gt_backward(params, x, fusion.gamma, cache, d_fused, grads)
     return value, grads
 
 
@@ -314,9 +358,17 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
     state.t += 1
     t = state.t
     g = grads.flat
-    state.m = beta1 * state.m + (1.0 - beta1) * g
-    state.v = beta2 * state.v + (1.0 - beta2) * g * g
+    state.m *= beta1
+    state.m += (1.0 - beta1) * g
+    g2 = (1.0 - beta2) * g
+    g2 *= g
+    state.v *= beta2
+    state.v += g2
     m_hat = state.m / (1.0 - beta1**t)
     v_hat = state.v / (1.0 - beta2**t)
-    params.flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    np.sqrt(v_hat, out=v_hat)
+    v_hat += eps
+    m_hat *= lr
+    m_hat /= v_hat
+    params.flat -= m_hat
     return params, state

@@ -95,11 +95,11 @@ def _seeds(seed: int) -> tuple[int, int]:
     return int(s[0]), int(s[1])
 
 
-def _train_epochs(params, state, p_mat, x, sampled, pseudo_cover, config, epochs, phase):
+def _train_epochs(params, state, p_mat, x, px, sampled, pseudo_cover, config, epochs, phase):
     trace = []
     for epoch in range(epochs):
         value, grads = loss_and_gradients(
-            params, config.fusion, p_mat, x, sampled, pseudo_cover,
+            params, config.fusion, p_mat, x, px, sampled, pseudo_cover,
             config.lam1, config.lam2,
         )
         if not np.isfinite(value):
@@ -111,35 +111,36 @@ def _train_epochs(params, state, p_mat, x, sampled, pseudo_cover, config, epochs
     return trace
 
 
-def initial_training(p_mat, x: np.ndarray, sampled: SampledLabels,
+def initial_training(p_mat, x: np.ndarray, px: np.ndarray, sampled: SampledLabels,
                      pseudo_cover: Cover, config: TrainConfig):
     """Train fresh parameters against true + weak-clique pseudo labels.
 
-    p_mat is the graph's ``gcn_norm``. Returns the final-epoch parameters
-    and the per-epoch loss trace.
+    p_mat is the graph's ``gcn_norm`` and px is ``p_mat @ x``. Returns the
+    final-epoch parameters and the per-epoch loss trace.
     """
     _, init_seed = _seeds(config.seed)
     k = pseudo_cover.n_communities
     params = init_params(x.shape[1], config.hidden, k, init_seed,
                          activate_final=config.activate_final)
     state = AdamState.for_params(params)
-    trace = _train_epochs(params, state, p_mat, x, sampled, pseudo_cover,
+    trace = _train_epochs(params, state, p_mat, x, px, sampled, pseudo_cover,
                           config, config.epochs_initial, "initial_training")
     return params, trace
 
 
-def refined_training(p_mat, x: np.ndarray, sampled: SampledLabels,
+def refined_training(p_mat, x: np.ndarray, px: np.ndarray, sampled: SampledLabels,
                      params: ModelParams, config: TrainConfig,
                      true_cover: Cover | None = None,
                      clique_cover: Cover | None = None):
     """Refresh pseudo-labels from the warm model and continue training it.
 
-    p_mat is the graph's ``gcn_norm``. Returns (params, C_final, RunReport);
-    onmi fields are filled only when true_cover is given.
+    p_mat is the graph's ``gcn_norm`` and px is ``p_mat @ x``. Returns
+    (params, C_final, RunReport); onmi fields are filled only when
+    true_cover is given.
     """
     report = RunReport()
 
-    c_pred = predict(params, config.fusion, p_mat, x)
+    c_pred = predict(params, config.fusion, p_mat, x, px)
     if true_cover is not None:
         report.onmi_initial = onmi(binarize(c_pred, config.binarize_threshold), true_cover)
 
@@ -151,12 +152,12 @@ def refined_training(p_mat, x: np.ndarray, sampled: SampledLabels,
     state = AdamState.for_params(params)
     start = time.perf_counter()
     report.loss_trace_refined = _train_epochs(
-        params, state, p_mat, x, sampled, pseudo_cover, config,
+        params, state, p_mat, x, px, sampled, pseudo_cover, config,
         config.epochs_refined, "refined_training",
     )
     report.wall_time_refined = time.perf_counter() - start
 
-    c_final = binarize(predict(params, config.fusion, p_mat, x),
+    c_final = binarize(predict(params, config.fusion, p_mat, x, px),
                        config.binarize_threshold)
     if true_cover is not None:
         report.onmi = onmi(c_final, true_cover)
@@ -178,12 +179,13 @@ def run_pipeline(graph: Graph, x: np.ndarray, true_cover: Cover,
     )
 
     p_mat = gcn_norm(graph)
+    px = p_mat @ x  # the first GCN layer's propagation, the same in every epoch
     start = time.perf_counter()
-    params, trace_initial = initial_training(p_mat, x, sampled, clique_cover, config)
+    params, trace_initial = initial_training(p_mat, x, px, sampled, clique_cover, config)
     wall_initial = time.perf_counter() - start
 
     params, c_final, report = refined_training(
-        p_mat, x, sampled, params, config,
+        p_mat, x, px, sampled, params, config,
         true_cover=true_cover, clique_cover=clique_cover,
     )
     report.n_pseudo_initial = pseudo_coverage(clique_cover, sampled)

@@ -153,7 +153,7 @@ def _shift_biases_off_kinks(params, p, x, margin=0.02):
 
     for layer in range(len(params.gcn_w) - 1):
         cache = {}
-        gcn_forward(params, p, x, cache=cache)
+        gcn_forward(params, p, p @ x, cache=cache)
         pre = cache["gcn_pre"][layer]
         for j in range(pre.shape[1]):
             col = np.sort(pre[:, j])
@@ -164,7 +164,7 @@ def _shift_biases_off_kinks(params, p, x, margin=0.02):
             mid = max(candidates, key=lambda c: np.min(np.abs(col - c)))
             params.gcn_b[layer][j] -= mid
     cache = {}
-    gcn_forward(params, p, x, cache=cache)
+    gcn_forward(params, p, p @ x, cache=cache)
     worst = min(np.min(np.abs(pre)) for pre in cache["gcn_pre"][:-1])
     assert worst >= margin, f"pre-activation {worst} still within kink reach"
 
@@ -184,9 +184,9 @@ def test_criterion_4_gradient_correctness():
         fusion = FusionParams(0.5, 0.5, 0.5)
         p = gcn_norm(g)
         _shift_biases_off_kinks(params, p, x)
-        _, grads = loss_and_gradients(params, fusion, p, x, sampled, pseudo, 1.0, 1.0)
+        _, grads = loss_and_gradients(params, fusion, p, x, p @ x, sampled, pseudo, 1.0, 1.0)
         fd = finite_difference_grads(
-            lambda: loss(predict(params, fusion, p, x), sampled, pseudo, 1.0, 1.0),
+            lambda: loss(predict(params, fusion, p, x, p @ x), sampled, pseudo, 1.0, 1.0),
             params, step=1e-4,
         )
         for name in fd:

@@ -201,3 +201,15 @@ class TestAblate:
                         "--hidden", 16, "--out", out]) == 0
             outs.append((out / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("flag, rhos, seeds", [("--rhos", "0.1,x", "0"),
+                                                   ("--seeds", "0.1", "0,1.5")])
+    def test_malformed_list_usage_error(self, tmp_path, capsys, flag, rhos, seeds):
+        # the inputs do not exist: the list must be rejected before they are read
+        with pytest.raises(SystemExit) as exc:
+            run(["ablate", "--edges", tmp_path / "e.tsv", "--features", tmp_path / "f.csv",
+                 "--cover", tmp_path / "c.txt", "--rhos", rhos, "--seeds", seeds,
+                 "--out", tmp_path / "out"])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

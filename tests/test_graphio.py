@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import numpy as np
@@ -275,6 +276,31 @@ class TestSynth:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SynthConfig(n_nodes=10, n_communities=2, p_in=0.1, p_out=0.2)
+
+    @pytest.mark.parametrize("kwargs, n_edges, digest", [
+        (dict(n_nodes=60, n_communities=3, seed=7), 58,
+         "8c92de4afab5c5554e87c4075ddc6124d6f0777fb815346514b70986a1aca5a9"),
+        (dict(n_nodes=500, n_communities=5, overlap_fraction=0.4, p_in=0.1, p_out=0.01,
+              dims_per_community=3, seed=3), 5521,
+         "8d2b71452157d45e34c7556a6c8206e3cf29a02df8d3f00816dce9a70549945f"),
+        # several row blocks of the uniform draw
+        (dict(n_nodes=1500, n_communities=6, overlap_fraction=0.2, dims_per_community=2,
+              seed=11), 22896,
+         "875d2f92b167b258debfd17894aca4f4fc5efae816a80a2896625271fa8c9042"),
+        (dict(n_nodes=2100, n_communities=2, overlap_fraction=1.0, p_in=0.05,
+              dims_per_community=1, seed=5), 110091,
+         "dc1e3ea27718483561b49cf0cbdd41b39323f2d4bd89be0bd7dc6b259a50646c"),
+    ], ids=["n60", "n500", "n1500_blocks", "n2100_all_overlap"])
+    def test_overlap_edges_outputs_pinned(self, kwargs, n_edges, digest):
+        # sha256 of graph, features and cover as the int64 shared-community
+        # product generated them; overlap_edges is True by default
+        g, x, c = synth_graph(SynthConfig(**kwargs))
+        h = hashlib.sha256()
+        for a in (g.indptr, g.indices, x, c.memberships):
+            h.update(f"{a.dtype}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+        assert g.n_edges == n_edges
+        assert h.hexdigest() == digest
 
 
 class TestSampleLabels:

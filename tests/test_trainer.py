@@ -52,9 +52,10 @@ class TestInitialTraining:
         graph, x, cover = small_instance()
         config = quick_config()
         sampled = sample_labels(cover, config.rho, seed=3)
+        p = gcn_norm(graph)
         pseudo = Cover(memberships=cover.memberships.copy())
-        _, t1 = initial_training(gcn_norm(graph), x, sampled, pseudo, config)
-        _, t2 = initial_training(gcn_norm(graph), x, sampled, pseudo, config)
+        _, t1 = initial_training(p, x, p @ x, sampled, pseudo, config)
+        _, t2 = initial_training(p, x, p @ x, sampled, pseudo, config)
         assert t1 == t2
         assert len(t1) == config.epochs_initial
 
@@ -62,16 +63,18 @@ class TestInitialTraining:
         graph, x, cover = small_instance()
         config = quick_config(lam2=0.0)
         sampled = sample_labels(cover, config.rho, seed=3)
+        p = gcn_norm(graph)
         empty = Cover(memberships=np.zeros_like(cover.memberships))
-        _, t1 = initial_training(gcn_norm(graph), x, sampled, cover, config)
-        _, t2 = initial_training(gcn_norm(graph), x, sampled, empty, config)
+        _, t1 = initial_training(p, x, p @ x, sampled, cover, config)
+        _, t2 = initial_training(p, x, p @ x, sampled, empty, config)
         assert t1 == t2
 
     def test_loss_decreases(self):
         graph, x, cover = small_instance()
         config = quick_config(epochs_initial=60)
         sampled = sample_labels(cover, config.rho, seed=3)
-        _, trace = initial_training(gcn_norm(graph), x, sampled, cover, config)
+        p = gcn_norm(graph)
+        _, trace = initial_training(p, x, p @ x, sampled, cover, config)
         assert trace[-1] < trace[0]
 
 
@@ -80,22 +83,24 @@ class TestRefinedTraining:
         graph, x, cover = small_instance()
         config = quick_config(pseudo=PseudoConfig(r_c=1, tau=1 - 1e-12))
         sampled = sample_labels(cover, config.rho, seed=3)
-        params, _ = initial_training(gcn_norm(graph), x, sampled, cover, config)
+        p = gcn_norm(graph)
+        params, _ = initial_training(p, x, p @ x, sampled, cover, config)
         before = params.copy()
-        params, _, report = refined_training(gcn_norm(graph), x, sampled, params, config)
+        params, _, report = refined_training(p, x, p @ x, sampled, params, config)
         # with no surviving pseudo-labels only the supervised term remains;
         # compare against an explicit lam2=0 run from the same warm start
         config2 = quick_config(lam2=0.0, pseudo=PseudoConfig(r_c=1, tau=0.5))
-        params2, _, report2 = refined_training(gcn_norm(graph), x, sampled, before, config2)
+        params2, _, report2 = refined_training(p, x, p @ x, sampled, before, config2)
         assert report.n_pseudo_refined == 0 or report.loss_trace_refined == report2.loss_trace_refined
 
     def test_epochs_zero_keeps_initial_params(self):
         graph, x, cover = small_instance()
         config = quick_config(epochs_refined=0)
         sampled = sample_labels(cover, config.rho, seed=3)
-        params, _ = initial_training(gcn_norm(graph), x, sampled, cover, config)
+        p = gcn_norm(graph)
+        params, _ = initial_training(p, x, p @ x, sampled, cover, config)
         snapshot = params.copy()
-        _, c_final, report = refined_training(gcn_norm(graph), x, sampled, params, config,
+        _, c_final, report = refined_training(p, x, p @ x, sampled, params, config,
                                               true_cover=cover)
         np.testing.assert_array_equal(params.flat, snapshot.flat)
         assert report.loss_trace_refined == []
