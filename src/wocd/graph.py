@@ -97,14 +97,6 @@ class Cover:
     def members(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.memberships[:, k])
 
-    @classmethod
-    def from_lists(cls, lists, n_communities: int) -> "Cover":
-        m = np.zeros((len(lists), n_communities), dtype=np.uint8)
-        for v, cs in enumerate(lists):
-            for c in cs:
-                m[v, c] = 1
-        return cls(memberships=m)
-
 
 @dataclass(frozen=True)
 class SampledLabels:
@@ -142,6 +134,8 @@ class SynthConfig:
             raise ValueError("require 0 <= p_out < p_in <= 1")
         if not (0.0 <= self.overlap_fraction <= 1.0):
             raise ValueError("overlap_fraction must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 _INT = re.compile(r"[+-]?[0-9]+")  # an id: what np.loadtxt reads as int64
@@ -321,7 +315,10 @@ def write_cover(cover: Cover, path) -> None:
 
 
 def load_features(path, header: bool = False) -> np.ndarray:
-    X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    try:
+        X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or a ragged row
+        raise FormatError(f"{path}: {exc}") from None
     if not np.all(np.isfinite(X)):
         raise FormatError(f"{path}: non-finite feature value")
     return X.astype(np.float64)

@@ -17,7 +17,8 @@ CLAMP_EPS = 1e-7
 
 
 class DegenerateProjectionError(ValueError):
-    """Q or K collapsed to the zero matrix; Frobenius normalization undefined."""
+    """Q or K collapsed to the zero matrix, or its Frobenius norm is not
+    finite; Frobenius normalization undefined."""
 
 
 @dataclass(frozen=True)
@@ -157,10 +158,13 @@ def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | N
     k += params.gt_k_b
     v = z0 @ params.gt_v_w
     v += params.gt_v_b
-    qn = np.linalg.norm(q)
-    kn = np.linalg.norm(k)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        qn = np.linalg.norm(q)
+        kn = np.linalg.norm(k)
     if qn == 0.0 or kn == 0.0:
         raise DegenerateProjectionError("Q or K has zero Frobenius norm")
+    if not (np.isfinite(qn) and np.isfinite(kn)):
+        raise DegenerateProjectionError("Q or K has a non-finite Frobenius norm")
     q /= qn  # Q~ and K~ from here on
     k /= kn
     s = k.sum(axis=0)  # K~^T 1

@@ -52,6 +52,12 @@ class TrainConfig:
             raise ValueError("epoch counts must be >= 0")
         if not (0.0 < self.binarize_threshold < 1.0):
             raise ValueError("binarize_threshold must be in (0, 1)")
+        if not (0.0 <= self.rho <= 1.0):
+            raise ValueError("rho must be in [0, 1]")
+        if self.hidden < 1:
+            raise ValueError("hidden must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)

@@ -1,10 +1,20 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from wocd import Cover, load_cover, load_edge_list, load_features, write_cover, write_features
-from wocd.cli import main
+from wocd import (
+    Cover,
+    SynthConfig,
+    TrainConfig,
+    load_cover,
+    load_edge_list,
+    load_features,
+    write_cover,
+    write_features,
+)
+from wocd.cli import CONFIG_FLAGS, main
 
 from conftest import graph_to_adj
 from oracles import weak_cliques_reference
@@ -46,6 +56,26 @@ class TestSynth:
         with pytest.raises(SystemExit) as exc:
             run(["synth", "--communities", 3, "--out", tmp_path / "x"])
         assert exc.value.code != 0
+
+    @pytest.mark.parametrize("flag, value, field, want", [
+        ("--nodes", 40, "n_nodes", 40),
+        ("--communities", 2, "n_communities", 2),
+        ("--overlap", 0.3, "overlap_fraction", 0.3),
+        ("--p-in", 0.2, "p_in", 0.2),
+        ("--p-out", 0.01, "p_out", 0.01),
+        ("--dims-per-community", 4, "dims_per_community", 4),
+        ("--feature-signal", 0.7, "feature_signal", 0.7),
+        ("--feature-noise", 0.1, "feature_noise", 0.1),
+        ("--attribute-only-overlap", None, "overlap_edges", False),
+        ("--seed", 5, "seed", 5),
+    ])
+    def test_flag_reaches_manifest(self, tmp_path, flag, value, field, want):
+        flags = {"--nodes": 30, "--communities": 3, flag: value}
+        argv = [tok for f, v in flags.items() for tok in (f, v) if tok is not None]
+        assert run(["synth", *argv, "--out", tmp_path]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["n_edges"], manifest["feature_dims"]
+        assert manifest == {**asdict(SynthConfig(n_nodes=30, n_communities=3)), field: want}
 
 
 class TestCliquesAndPseudo:
@@ -110,6 +140,62 @@ class TestTrain:
                     "--out", tmp_path / "run"]) == 3
 
 
+# one case per CONFIG_FLAGS entry: the flag, a value, and the config field it
+# sets as a path into TrainConfig.to_dict(); every value differs from both the
+# default and the config file of test_flag_reaches_config
+FLAG_CASES = [
+    ("--lambda1", 0.5, ("lam1",), 0.5),
+    ("--lambda2", 0.25, ("lam2",), 0.25),
+    ("--epochs-initial", 2, ("epochs_initial",), 2),
+    ("--epochs-refined", 2, ("epochs_refined",), 2),
+    ("--lr", 0.002, ("lr",), 0.002),
+    ("--hidden", 5, ("hidden",), 5),
+    ("--seed", 3, ("seed",), 3),
+    ("--alpha", 0.3, ("fusion", "alpha"), 0.3),
+    ("--beta", 0.7, ("fusion", "beta"), 0.7),
+    ("--gamma", 0.2, ("fusion", "gamma"), 0.2),
+    ("--rc", 2, ("pseudo", "r_c"), 2),
+    ("--tau", 0.8, ("pseudo", "tau"), 0.8),
+    ("--binarize-threshold", 0.4, ("binarize_threshold",), 0.4),
+    ("--rho", 0.3, ("rho",), 0.3),
+    ("--activate-final", None, ("activate_final",), True),
+    ("--refresh-union", None, ("refresh_union",), True),
+]
+
+
+class TestConfigFlags:
+    def test_every_flag_has_a_case(self):
+        assert [case[0] for case in FLAG_CASES] == list(CONFIG_FLAGS)
+
+    @pytest.mark.parametrize("flag, value, path, want", FLAG_CASES,
+                             ids=[case[0] for case in FLAG_CASES])
+    def test_flag_reaches_config(self, synth_dir, tmp_path, flag, value, path, want):
+        file_values = {"epochs_initial": 1, "epochs_refined": 1, "hidden": 4}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(file_values))
+        out = tmp_path / "run"
+        assert run(["train", "--edges", synth_dir / "edges.tsv",
+                    "--features", synth_dir / "features.csv",
+                    "--cover", synth_dir / "cover.txt", "--config", cfg,
+                    *[tok for tok in (flag, value) if tok is not None], "--out", out]) == 0
+        expected = {**TrainConfig().to_dict(), **file_values}
+        section = expected
+        for key in path[:-1]:
+            section = section[key]
+        assert section[path[-1]] != want
+        section[path[-1]] = want
+        assert json.loads((out / "report.json").read_text())["config"] == expected
+
+
+# flag values the config dataclasses reject
+OUT_OF_RANGE = [
+    ["train", "--rho", 2], ["train", "--tau", 1.0], ["train", "--hidden", 0],
+    ["train", "--rc", 0], ["train", "--seed", -1], ["ablate", "--rhos", 2],
+    ["ablate", "--seeds", -1], ["pseudo", "--rho", 2], ["pseudo", "--rc", 0],
+    ["synth", "--nodes", 0], ["synth", "--communities", 0],
+]
+
+
 class TestExitCodes:
     def train(self, synth_dir, tmp_path, *extra, features=None):
         return run(["train", "--edges", synth_dir / "edges.tsv",
@@ -134,8 +220,11 @@ class TestExitCodes:
         assert self.train(synth_dir, tmp_path, "--config", cfg) == 3
         self.assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("body", [{"fusion": 3}, {"pseudo": []}, {"select_best": True}],
-                             ids=["fusion_not_object", "pseudo_not_object", "select_best"])
+    @pytest.mark.parametrize("body", [{"fusion": 3}, {"pseudo": []}, {"select_best": True},
+                                      {"rho": 2}, {"pseudo": {"tau": 1.0}}, {"hidden": 0},
+                                      {"pseudo": {"r_c": 0}}, {"seed": -1}],
+                             ids=["fusion_not_object", "pseudo_not_object", "select_best",
+                                  "rho_2", "tau_1", "hidden_0", "rc_0", "seed_-1"])
     def test_config_value_rejected(self, synth_dir, tmp_path, capsys, body):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
@@ -165,6 +254,65 @@ class TestExitCodes:
         zeros.write_text("0,0,0\n" * 60)
         assert self.train(synth_dir, tmp_path, features=zeros) == 4
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
+    def test_non_finite_projection(self, synth_dir, tmp_path, capsys):
+        # finite features whose projection's Frobenius norm overflows
+        huge = tmp_path / "huge.csv"
+        write_features(1e200 * load_features(synth_dir / "features.csv"), huge)
+        assert self.train(synth_dir, tmp_path, features=huge) == 4
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("case", ["bad_cell", "ragged_row", "no_communities"])
+    def test_malformed_input(self, synth_dir, tmp_path, capsys, command, case):
+        files = {"features": synth_dir / "features.csv", "cover": synth_dir / "cover.txt"}
+        bad = tmp_path / case
+        if case == "no_communities":
+            bad.write_text("#nodes=60\n#communities=0\n")
+            files["cover"] = bad
+        else:
+            rows = (synth_dir / "features.csv").read_text().splitlines()
+            rows[1] = "x," + rows[1] if case == "bad_cell" else rows[1].rpartition(",")[0]
+            bad.write_text("\n".join(rows) + "\n")
+            files["features"] = bad
+        sweep = ["--rhos", 0.2, "--seeds", 0] if command == "ablate" else []
+        assert run([command, "--edges", synth_dir / "edges.tsv",
+                    "--features", files["features"], "--cover", files["cover"], *sweep,
+                    "--epochs-initial", 2, "--epochs-refined", 2, "--hidden", 8,
+                    "--out", tmp_path / "run"]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and err.startswith("error:") and err.count("\n") == 1, err
+
+    @pytest.mark.parametrize("command", ["train", "ablate", "synth"])
+    def test_out_names_a_file(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "taken"
+        out.write_text("")
+        if command == "synth":
+            argv = ["synth", "--nodes", 20, "--communities", 2]
+        else:
+            argv = [command, "--edges", synth_dir / "edges.tsv",
+                    "--features", synth_dir / "features.csv",
+                    "--cover", synth_dir / "cover.txt",
+                    "--epochs-initial", 1, "--epochs-refined", 1, "--hidden", 4]
+            argv += ["--rhos", 0.2, "--seeds", 0] if command == "ablate" else []
+        assert run([*argv, "--out", out]) == 1
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
+    def test_out_of_range_flag(self, tmp_path, capsys, argv):
+        # the inputs do not exist: the value must be rejected before they are read;
+        # the flag under test comes last, so it overrides a required one
+        command = argv[0]
+        inputs = {"synth": [], "pseudo": ["--edges", "--cover"]}.get(
+            command, ["--edges", "--features", "--cover"])
+        required = {"synth": ["--nodes", 10, "--communities", 2], "pseudo": ["--rho", 0.1],
+                    "ablate": ["--rhos", 0.1, "--seeds", 0]}.get(command, [])
+        out = tmp_path / "out"
+        assert run([command, *[tok for f in inputs for tok in (f, tmp_path / f[2:])],
+                    *required, *argv[1:], "--out", out]) == 2
+        self.assert_one_line_error(capsys)
+        assert not out.exists()
 
 
 class TestEval:

@@ -276,6 +276,8 @@ class TestSynth:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             SynthConfig(n_nodes=10, n_communities=2, p_in=0.1, p_out=0.2)
+        with pytest.raises(ValueError):
+            SynthConfig(n_nodes=10, n_communities=2, seed=-1)
 
     @pytest.mark.parametrize("kwargs, n_edges, digest", [
         (dict(n_nodes=60, n_communities=3, seed=7), 58,

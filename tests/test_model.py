@@ -127,6 +127,13 @@ class TestGtForward:
         with pytest.raises(DegenerateProjectionError):
             gt_forward(params, rng.normal(size=(4, 3)), 0.5)
 
+    @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
+    def test_non_finite_projection(self, rng):
+        # every entry of Q is finite, but the sum of their squares overflows
+        params = init_params(3, 4, 2, seed=7)
+        with pytest.raises(DegenerateProjectionError, match="non-finite"):
+            gt_forward(params, 1e200 * rng.normal(size=(4, 3)), 0.5)
+
 
 class TestPredict:
     def test_zero_head(self, rng):

@@ -161,3 +161,6 @@ class TestTrainConfig:
             TrainConfig(lam1=-1.0)
         with pytest.raises(ValueError):
             TrainConfig(binarize_threshold=1.0)
+        for bad in (dict(rho=1.5), dict(rho=-0.1), dict(hidden=0), dict(seed=-1)):
+            with pytest.raises(ValueError):
+                TrainConfig(**bad)
