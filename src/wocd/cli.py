@@ -165,6 +165,8 @@ def _load_inputs(args):
     cover = load_cover(args.cover)
     if x.shape[0] != graph.n_nodes or cover.n_nodes != graph.n_nodes:
         raise FormatError("edge list, features and cover disagree on the number of nodes")
+    if graph.n_nodes == 0:
+        raise FormatError(f"{args.edges}: the graph has no nodes")
     if cover.n_communities == 0:
         raise FormatError(f"{args.cover}: the cover declares no communities")
     return graph, x, cover

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import io
+import itertools
 import math
+import numbers
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -15,6 +17,23 @@ SYNTH_BLOCK = 1 << 20  # entries of the N x N edge draw made at a time
 
 class FormatError(ValueError):
     """An input file violates the expected text format."""
+
+
+# a config field annotated with the key takes a value of the class; bool is
+# told apart from the numbers, which it subclasses
+_FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
+
+
+def check_field_types(config) -> None:
+    """TypeError unless every int, float and bool field of the dataclass
+    ``config`` holds a value of that kind; an int is a float too."""
+    for f in fields(config):
+        kind = _FIELD_KINDS.get(f.type)
+        if kind is None:
+            continue
+        value = getattr(config, f.name)
+        if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
+            raise TypeError(f"{f.name} must be {f.type}, not {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -314,9 +333,22 @@ def write_cover(cover: Cover, path) -> None:
         fh.write(f"#nodes={n}\n#communities={k}" + "".join(cells.tolist()) + "\n")
 
 
+def _has_data_line(path, skip: int) -> bool:
+    """Whether a line after the first ``skip`` is one np.loadtxt reads: not
+    blank and not a '#' comment. Reads only up to the first such line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return any(line.strip() and not line.lstrip().startswith("#")
+                   for line in itertools.islice(fh, skip, None))
+
+
 def load_features(path, header: bool = False) -> np.ndarray:
+    """Comma-separated rows, one per node; a file without data rows gives a
+    0 x 0 matrix."""
+    skip = 1 if header else 0
     try:
-        X = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
+        if not _has_data_line(path, skip):  # np.loadtxt warns on input without data
+            return np.empty((0, 0))
+        X = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     except ValueError as exc:  # a cell that is not a number, or a ragged row
         raise FormatError(f"{path}: {exc}") from None
     if not np.all(np.isfinite(X)):

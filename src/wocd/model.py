@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .graph import Cover, Graph, SampledLabels
+from .graph import Cover, Graph, SampledLabels, check_field_types
 
 CLAMP_EPS = 1e-7
 
@@ -28,6 +28,7 @@ class FusionParams:
     gamma: float = 0.1  # attention share of the GT output; the rest is the input projection
 
     def __post_init__(self):
+        check_field_types(self)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be >= 0")
         if not (0.0 <= self.gamma <= 1.0):
@@ -98,10 +99,6 @@ def gcn_norm(graph: Graph) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
-def _relu(x):
-    return np.maximum(x, 0.0)
-
-
 def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Three propagation layers over ``px = p_mat @ x``, which no weight
     touches and so is computed once by the caller; the last layer emits
@@ -109,38 +106,42 @@ def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None =
     n_layers = len(params.gcn_w)
     if cache is not None:
         cache["gcn_m"] = []  # P @ Z_l per layer, px for the first
-        cache["gcn_pre"] = []
+        cache["gcn_mask"] = []  # Z_l > 0 per rectified layer, which is pre > 0
     m = px
     for l, (w, b) in enumerate(zip(params.gcn_w, params.gcn_b)):
         if l > 0:
             m = p_mat @ z
-        pre = m @ w
-        pre += b
+            del z  # free Z_(l-1) before the next N x h allocation
+        z = m @ w
+        z += b
         if cache is not None:
             cache["gcn_m"].append(m)
-            cache["gcn_pre"].append(pre)
-        last = l == n_layers - 1
-        z = pre if (last and not params.activate_final) else _relu(pre)
+        if l < n_layers - 1 or params.activate_final:
+            np.maximum(z, 0.0, out=z)
+            if cache is not None:
+                cache["gcn_mask"].append(z > 0)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite GCN activations (divergence)")
     return z
 
 
-def _gcn_backward(params: ModelParams, p_mat, cache, d_out, grads) -> None:
-    """Overwrites d_out and pops each layer's cache entries after their
+def _gcn_backward(params: ModelParams, p_mat, cache, d_fused, alpha, grads) -> None:
+    """Gradients of the GCN branch from dL/d(fused) and its weight alpha;
+    leaves d_fused alone and pops each layer's cache entries after their
     last read."""
     n_layers = len(params.gcn_w)
-    d = d_out
+    d = alpha * d_fused
     for l in range(n_layers - 1, -1, -1):
-        pre = cache["gcn_pre"].pop()
         if l < n_layers - 1 or params.activate_final:
-            d *= pre > 0
-        del pre
+            d *= cache["gcn_mask"].pop()
         grads.gcn_w[l] += cache["gcn_m"].pop().T @ d
         grads.gcn_b[l] += d.sum(axis=0)
         if l > 0:
             # P is symmetric, so d(P @ Z) / dZ pulls back through P itself
-            d = p_mat @ (d @ params.gcn_w[l].T)
+            d_z = d @ params.gcn_w[l].T
+            del d
+            d = p_mat @ d_z
+            del d_z
 
 
 def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | None = None) -> np.ndarray:
@@ -175,7 +176,10 @@ def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | N
     u = q @ w_kv
     u /= n
     u += v
-    z_gt = u / denom[:, None]
+    if cache is None:  # the backward pass reads U, so only an uncached call may overwrite it
+        z_gt = np.divide(u, denom[:, None], out=u)
+    else:
+        z_gt = u / denom[:, None]
     z_gt *= gamma
     z_gt += (1.0 - gamma) * z0
     if cache is not None:
@@ -262,10 +266,12 @@ def predict(params: ModelParams, fusion: FusionParams, p_mat, x: np.ndarray,
 
     px is ``p_mat @ x``.
     """
-    z_gcn = gcn_forward(params, p_mat, px, cache)
     fused = gt_forward(params, x, fusion.gamma, cache)
     fused *= fusion.beta
-    fused += fusion.alpha * z_gcn
+    z_gcn = gcn_forward(params, p_mat, px, cache)
+    z_gcn *= fusion.alpha
+    fused += z_gcn
+    del z_gcn
     logits = fused @ params.head_w
     logits += params.head_b
     if cache is not None:
@@ -334,10 +340,11 @@ def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
     grads = ModelParams(params.dims, params.activate_final)
     d_logits *= c_pred
     d_logits *= 1.0 - c_pred
-    grads.head_w += cache.pop("fused").T @ d_logits
+    fused = cache.pop("fused")
+    grads.head_w += fused.T @ d_logits
     grads.head_b += d_logits.sum(axis=0)
-    d_fused = d_logits @ params.head_w.T
-    _gcn_backward(params, p_mat, cache, fusion.alpha * d_fused, grads)
+    d_fused = np.matmul(d_logits, params.head_w.T, out=fused)  # fused is not read again
+    _gcn_backward(params, p_mat, cache, d_fused, fusion.alpha, grads)
     d_fused *= fusion.beta
     _gt_backward(params, x, fusion.gamma, cache, d_fused, grads)
     return value, grads

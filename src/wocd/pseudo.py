@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .cliques import CliqueSet
-from .graph import Cover, SampledLabels
+from .graph import Cover, SampledLabels, check_field_types
 
 
 @dataclass(frozen=True)
@@ -17,6 +17,7 @@ class PseudoConfig:
     tau: float = 0.9  # confidence threshold for the refresh round
 
     def __post_init__(self):
+        check_field_types(self)
         if self.r_c < 1:
             raise ValueError("r_c must be >= 1")
         if not (0.0 < self.tau < 1.0):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .cliques import identify_weak_cliques
-from .graph import Cover, Graph, SampledLabels, sample_labels
+from .graph import Cover, Graph, SampledLabels, check_field_types, sample_labels
 from .metrics import onmi
 from .model import (
     AdamState,
@@ -46,6 +46,7 @@ class TrainConfig:
     refresh_union: bool = False  # union refreshed pseudo cover with the clique one
 
     def __post_init__(self):
+        check_field_types(self)
         if self.lam1 < 0 or self.lam2 < 0:
             raise ValueError("loss weights must be >= 0")
         if self.epochs_initial < 0 or self.epochs_refined < 0:

@@ -2,7 +2,8 @@
 
 Deliberately naive: plain dicts/sets/loops and dense matrices, written
 directly from the procedure definitions, sharing no code with the package
-beyond its result types (``Graph``, ``Cover``) and ``FormatError``.
+beyond its result types (``Graph``, ``Cover``, ``ModelParams``), its error
+types and, for the training epoch, its loss head.
 """
 
 import math
@@ -10,6 +11,7 @@ import math
 import numpy as np
 
 from wocd import Cover, FormatError, Graph
+from wocd.model import DegenerateProjectionError, ModelParams, _loss_with_pred_grad
 
 
 def weak_cliques_reference(adj):
@@ -299,3 +301,173 @@ def onmi_loop(x, y):
 
     value = 1.0 - 0.5 * (cond_norm(a, b) + cond_norm(b, a))
     return float(min(max(value, 0.0), 1.0))
+
+
+# The training epoch's arithmetic written the straightforward way: every
+# activation is cached as float64 and every step returns a fresh array. The
+# package's epoch must match it bit for bit, so a change to its buffer
+# handling cannot change a result. The loss head (masks and BCE) is the
+# package's own; it is tested on its own.
+
+def gcn_forward_reference(params, p_mat, px, cache=None):
+    """GCN branch over ``px = p_mat @ x``; caches each layer's input and
+    pre-activation."""
+    n_layers = len(params.gcn_w)
+    if cache is not None:
+        cache["gcn_m"] = []
+        cache["gcn_pre"] = []
+    m = px
+    for l, (w, b) in enumerate(zip(params.gcn_w, params.gcn_b)):
+        if l > 0:
+            m = p_mat @ z
+        pre = m @ w
+        pre += b
+        if cache is not None:
+            cache["gcn_m"].append(m)
+            cache["gcn_pre"].append(pre)
+        last = l == n_layers - 1
+        z = pre if (last and not params.activate_final) else np.maximum(pre, 0.0)
+    if not np.all(np.isfinite(z)):
+        raise FloatingPointError("non-finite GCN activations (divergence)")
+    return z
+
+
+def _gcn_backward_reference(params, p_mat, cache, d_out, grads):
+    n_layers = len(params.gcn_w)
+    d = d_out
+    for l in range(n_layers - 1, -1, -1):
+        pre = cache["gcn_pre"].pop()
+        if l < n_layers - 1 or params.activate_final:
+            d *= pre > 0
+        grads.gcn_w[l] += cache["gcn_m"].pop().T @ d
+        grads.gcn_b[l] += d.sum(axis=0)
+        if l > 0:
+            d = p_mat @ (d @ params.gcn_w[l].T)
+
+
+def _gt_forward_reference(params, x, gamma, cache=None):
+    x = np.asarray(x, dtype=np.float64)
+    n = x.shape[0]
+    z0 = x @ params.input_proj_w
+    z0 += params.input_proj_b
+    q = z0 @ params.gt_q_w
+    q += params.gt_q_b
+    k = z0 @ params.gt_k_w
+    k += params.gt_k_b
+    v = z0 @ params.gt_v_w
+    v += params.gt_v_b
+    with np.errstate(over="ignore"):
+        qn = np.linalg.norm(q)
+        kn = np.linalg.norm(k)
+    if qn == 0.0 or kn == 0.0:
+        raise DegenerateProjectionError("Q or K has zero Frobenius norm")
+    if not (np.isfinite(qn) and np.isfinite(kn)):
+        raise DegenerateProjectionError("Q or K has a non-finite Frobenius norm")
+    q /= qn
+    k /= kn
+    s = k.sum(axis=0)
+    denom = q @ s
+    denom /= n
+    denom += 1.0
+    w_kv = k.T @ v
+    u = q @ w_kv
+    u /= n
+    u += v
+    z_gt = u / denom[:, None]
+    z_gt *= gamma
+    z_gt += (1.0 - gamma) * z0
+    if cache is not None:
+        cache.update(
+            gt_z0=z0, gt_v=v, gt_qn=qn, gt_kn=kn, gt_qt=q, gt_kt=k, gt_s=s,
+            gt_denom=denom, gt_wkv=w_kv, gt_u=u,
+        )
+    return z_gt
+
+
+def _normalized_backward_reference(d_t, t, norm):
+    t *= (d_t * t).sum()
+    d_t -= t
+    d_t /= norm
+    return d_t
+
+
+def _gt_backward_reference(params, x, gamma, cache, d_out, grads):
+    n = x.shape[0]
+    denom, u = cache.pop("gt_denom"), cache.pop("gt_u")
+    d_u = gamma * d_out
+    d_u /= denom[:, None]
+    u *= d_out
+    d_denom = -gamma * u.sum(axis=1) / denom**2
+    d_z0 = d_out
+    d_z0 *= 1.0 - gamma
+
+    qt, kt = cache.pop("gt_qt"), cache.pop("gt_kt")
+    d_qt = d_u @ cache.pop("gt_wkv").T
+    d_qt /= n
+    d_wkv = (qt.T @ d_u) / n
+    d_kt = cache.pop("gt_v") @ d_wkv.T
+    d_v = d_u
+    d_v += kt @ d_wkv
+
+    d_outer = np.outer(d_denom, cache.pop("gt_s"))
+    d_outer /= n
+    d_qt += d_outer
+    d_s = (qt.T @ d_denom) / n
+    d_kt += d_s[None, :]
+
+    d_q = _normalized_backward_reference(d_qt, qt, cache.pop("gt_qn"))
+    d_k = _normalized_backward_reference(d_kt, kt, cache.pop("gt_kn"))
+
+    z0 = cache.pop("gt_z0")
+    grads.gt_q_w += z0.T @ d_q
+    grads.gt_q_b += d_q.sum(axis=0)
+    grads.gt_k_w += z0.T @ d_k
+    grads.gt_k_b += d_k.sum(axis=0)
+    grads.gt_v_w += z0.T @ d_v
+    grads.gt_v_b += d_v.sum(axis=0)
+
+    d_proj = d_q @ params.gt_q_w.T
+    d_proj += d_k @ params.gt_k_w.T
+    d_proj += d_v @ params.gt_v_w.T
+    d_z0 += d_proj
+    grads.input_proj_w += x.T @ d_z0
+    grads.input_proj_b += d_z0.sum(axis=0)
+
+
+def _sigmoid_reference(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def predict_reference(params, fusion, p_mat, x, px, cache=None):
+    """Fused community probabilities: the GCN branch first, then attention."""
+    z_gcn = gcn_forward_reference(params, p_mat, px, cache)
+    fused = _gt_forward_reference(params, x, fusion.gamma, cache)
+    fused *= fusion.beta
+    fused += fusion.alpha * z_gcn
+    logits = fused @ params.head_w
+    logits += params.head_b
+    if cache is not None:
+        cache["fused"] = fused
+    return _sigmoid_reference(logits)
+
+
+def loss_and_gradients_reference(params, fusion, p_mat, x, px, sampled, pseudo, lam1, lam2):
+    """(loss, grads) with grads a ``ModelParams`` laid out like params."""
+    cache = {}
+    c_pred = predict_reference(params, fusion, p_mat, x, px, cache)
+    value, d_logits = _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2)
+    grads = ModelParams(params.dims, params.activate_final)
+    d_logits *= c_pred
+    d_logits *= 1.0 - c_pred
+    grads.head_w += cache.pop("fused").T @ d_logits
+    grads.head_b += d_logits.sum(axis=0)
+    d_fused = d_logits @ params.head_w.T
+    _gcn_backward_reference(params, p_mat, cache, fusion.alpha * d_fused, grads)
+    d_fused *= fusion.beta
+    _gt_backward_reference(params, x, fusion.gamma, cache, d_fused, grads)
+    return value, grads

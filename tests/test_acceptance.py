@@ -31,6 +31,7 @@ from wocd.pseudo import construct_pseudo_labels
 from conftest import graph_to_adj, random_cover, random_graph, random_sampled
 from oracles import (
     finite_difference_grads,
+    gcn_forward_reference,
     gt_quadratic_reference,
     onmi_reference,
     pseudo_labels_reference,
@@ -149,11 +150,9 @@ def _shift_biases_off_kinks(params, p, x, margin=0.02):
     pre-activation values keeps the instance random while guaranteeing the
     finite-difference step cannot cross a kink.
     """
-    from wocd.model import gcn_forward
-
     for layer in range(len(params.gcn_w) - 1):
         cache = {}
-        gcn_forward(params, p, p @ x, cache=cache)
+        gcn_forward_reference(params, p, p @ x, cache=cache)
         pre = cache["gcn_pre"][layer]
         for j in range(pre.shape[1]):
             col = np.sort(pre[:, j])
@@ -164,7 +163,7 @@ def _shift_biases_off_kinks(params, p, x, margin=0.02):
             mid = max(candidates, key=lambda c: np.min(np.abs(col - c)))
             params.gcn_b[layer][j] -= mid
     cache = {}
-    gcn_forward(params, p, p @ x, cache=cache)
+    gcn_forward_reference(params, p, p @ x, cache=cache)
     worst = min(np.min(np.abs(pre)) for pre in cache["gcn_pre"][:-1])
     assert worst >= margin, f"pre-activation {worst} still within kink reach"
 

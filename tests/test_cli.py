@@ -222,9 +222,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("body", [{"fusion": 3}, {"pseudo": []}, {"select_best": True},
                                       {"rho": 2}, {"pseudo": {"tau": 1.0}}, {"hidden": 0},
-                                      {"pseudo": {"r_c": 0}}, {"seed": -1}],
+                                      {"pseudo": {"r_c": 0}}, {"seed": -1},
+                                      {"hidden": 2.5}, {"epochs_initial": 1.5}, {"lr": "0.1"},
+                                      {"pseudo": {"r_c": 1.5}}, {"seed": 1.5}],
                              ids=["fusion_not_object", "pseudo_not_object", "select_best",
-                                  "rho_2", "tau_1", "hidden_0", "rc_0", "seed_-1"])
+                                  "rho_2", "tau_1", "hidden_0", "rc_0", "seed_-1",
+                                  "hidden_float", "epochs_float", "lr_str", "rc_float",
+                                  "seed_float"])
     def test_config_value_rejected(self, synth_dir, tmp_path, capsys, body):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))
@@ -245,6 +249,19 @@ class TestExitCodes:
         assert run([command, "--edges", synth_dir / "edges.tsv",
                     "--features", files["features"], "--cover", files["cover"], *sweep,
                     "--epochs-initial", 2, "--epochs-refined", 2, "--hidden", 8,
+                    "--out", tmp_path / "run"]) == 3
+        self.assert_one_line_error(capsys)
+
+    @pytest.mark.filterwarnings("error")  # an empty features file is no NumPy warning
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_zero_nodes(self, tmp_path, capsys, command):
+        (tmp_path / "edges.tsv").write_text("#nodes=0\n")
+        (tmp_path / "cover.txt").write_text("#nodes=0\n#communities=2\n")
+        (tmp_path / "features.csv").write_text("")
+        sweep = ["--rhos", 0.2, "--seeds", 0] if command == "ablate" else []
+        assert run([command, "--edges", tmp_path / "edges.tsv",
+                    "--features", tmp_path / "features.csv", "--cover", tmp_path / "cover.txt",
+                    *sweep, "--epochs-initial", 2, "--epochs-refined", 2, "--hidden", 8,
                     "--out", tmp_path / "run"]) == 3
         self.assert_one_line_error(capsys)
 

@@ -164,3 +164,5 @@ class TestTrainConfig:
         for bad in (dict(rho=1.5), dict(rho=-0.1), dict(hidden=0), dict(seed=-1)):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+        with pytest.raises(TypeError):
+            TrainConfig(hidden=2.5)
