@@ -37,6 +37,7 @@ from .model import (
 )
 from .pseudo import (
     PseudoConfig,
+    binarize,
     construct_pseudo_labels,
     pseudo_coverage,
     refresh_pseudo_labels,
@@ -45,7 +46,6 @@ from .pseudo import (
 from .train import (
     RunReport,
     TrainConfig,
-    binarize,
     initial_training,
     refined_training,
     run_pipeline,

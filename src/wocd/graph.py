@@ -26,7 +26,8 @@ _FIELD_KINDS = {"int": numbers.Integral, "float": numbers.Real, "bool": bool}
 
 def check_field_types(config) -> None:
     """TypeError unless every int, float and bool field of the dataclass
-    ``config`` holds a value of that kind; an int is a float too."""
+    ``config`` holds a value of that kind; an int is a float too. ValueError
+    for a float field that holds NaN or an infinity."""
     for f in fields(config):
         kind = _FIELD_KINDS.get(f.type)
         if kind is None:
@@ -34,6 +35,8 @@ def check_field_types(config) -> None:
         value = getattr(config, f.name)
         if isinstance(value, bool) != (kind is bool) or not isinstance(value, kind):
             raise TypeError(f"{f.name} must be {f.type}, not {type(value).__name__}")
+        if f.type == "float" and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, not {value}")
 
 
 @dataclass(frozen=True)
@@ -147,6 +150,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_nodes < 1 or self.n_communities < 1 or self.dims_per_community < 1:
             raise ValueError("counts must be >= 1")
         if not (0.0 <= self.p_out < self.p_in <= 1.0):

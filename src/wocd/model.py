@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Cover, Graph, SampledLabels, check_field_types
+from .pseudo import pseudo_rows
 
 CLAMP_EPS = 1e-7
 
@@ -279,18 +280,6 @@ def predict(params: ModelParams, fusion: FusionParams, p_mat, x: np.ndarray,
     return _sigmoid(logits)
 
 
-def _bce_masks(n_nodes: int, sampled: SampledLabels, pseudo: Cover | None):
-    """Row masks for the two loss terms; pseudo excludes sampled nodes and
-    all-zero pseudo rows."""
-    is_sampled = np.zeros(n_nodes, dtype=bool)
-    is_sampled[sampled.node_ids] = True
-    if pseudo is None:
-        pseudo_mask = np.zeros(n_nodes, dtype=bool)
-    else:
-        pseudo_mask = pseudo.memberships.any(axis=1) & ~is_sampled
-    return is_sampled, pseudo_mask
-
-
 def _bce_term(p, y):
     """Mean BCE over one node-set grid and its gradient w.r.t. raw p."""
     if p.shape[0] == 0:
@@ -310,14 +299,11 @@ def loss(c_pred: np.ndarray, sampled: SampledLabels, pseudo: Cover | None,
 
 
 def _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2):
-    n, k = c_pred.shape
-    is_sampled, pseudo_mask = _bce_masks(n, sampled, pseudo)
     d_pred = np.zeros_like(c_pred)
     val1, g1 = _bce_term(c_pred[sampled.node_ids], sampled.rows)
     d_pred[sampled.node_ids] += lam1 * g1
     total = lam1 * val1
-    if lam2 != 0.0 and pseudo is not None and pseudo_mask.any():
-        rows = np.flatnonzero(pseudo_mask)
+    if lam2 != 0.0 and pseudo is not None and (rows := pseudo_rows(pseudo, sampled)).size:
         val2, g2 = _bce_term(c_pred[rows], pseudo.memberships[rows])
         d_pred[rows] += lam2 * g2
         total += lam2 * val2

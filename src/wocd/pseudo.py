@@ -68,6 +68,14 @@ def construct_pseudo_labels(
     return Cover(memberships=memberships)
 
 
+def binarize(c_pred: np.ndarray, threshold: float) -> Cover:
+    """Membership iff predicted probability >= threshold; empty rows allowed."""
+    c_pred = np.asarray(c_pred, dtype=np.float64)
+    if c_pred.size and (c_pred.min() < 0.0 or c_pred.max() > 1.0):
+        raise ValueError("predictions must lie in [0, 1]")
+    return Cover(memberships=(c_pred >= threshold).astype(np.uint8))
+
+
 def refresh_pseudo_labels(c_pred: np.ndarray, sampled: SampledLabels, tau: float) -> Cover:
     """Threshold model predictions into a replacement pseudo cover.
 
@@ -75,21 +83,23 @@ def refresh_pseudo_labels(c_pred: np.ndarray, sampled: SampledLabels, tau: float
     loss term); a non-sampled node keeps community k iff its predicted
     probability is >= tau.
     """
-    c_pred = np.asarray(c_pred, dtype=np.float64)
-    if c_pred.size and (c_pred.min() < 0.0 or c_pred.max() > 1.0):
-        raise ValueError("predictions must lie in [0, 1]")
     if not (0.0 < tau < 1.0):
         raise ValueError("tau must be in (0, 1)")
-    pseudo = (c_pred >= tau).astype(np.uint8)
-    pseudo[sampled.node_ids] = 0
-    return Cover(memberships=pseudo)
+    pseudo = binarize(c_pred, tau)
+    pseudo.memberships[sampled.node_ids] = 0
+    return pseudo
+
+
+def pseudo_rows(cover: Cover, sampled: SampledLabels) -> np.ndarray:
+    """Ascending ids of the non-sampled nodes carrying a pseudo community."""
+    labeled = cover.memberships.any(axis=1)
+    labeled[sampled.node_ids] = False
+    return np.flatnonzero(labeled)
 
 
 def pseudo_coverage(cover: Cover, sampled: SampledLabels) -> int:
     """Number of non-sampled nodes carrying at least one pseudo community."""
-    labeled = cover.memberships.any(axis=1)
-    labeled[sampled.node_ids] = False
-    return int(labeled.sum())
+    return pseudo_rows(cover, sampled).size
 
 
 def union_covers(a: Cover, b: Cover) -> Cover:

@@ -22,6 +22,7 @@ from .model import (
 )
 from .pseudo import (
     PseudoConfig,
+    binarize,
     construct_pseudo_labels,
     pseudo_coverage,
     refresh_pseudo_labels,
@@ -49,6 +50,8 @@ class TrainConfig:
         check_field_types(self)
         if self.lam1 < 0 or self.lam2 < 0:
             raise ValueError("loss weights must be >= 0")
+        if self.lr <= 0:
+            raise ValueError("lr must be > 0")
         if self.epochs_initial < 0 or self.epochs_refined < 0:
             raise ValueError("epoch counts must be >= 0")
         if not (0.0 < self.binarize_threshold < 1.0):
@@ -89,20 +92,14 @@ class RunReport:
         return asdict(self)
 
 
-def binarize(c_pred: np.ndarray, threshold: float) -> Cover:
-    """Membership iff predicted probability >= threshold; empty rows allowed."""
-    c_pred = np.asarray(c_pred, dtype=np.float64)
-    if c_pred.size and (c_pred.min() < 0.0 or c_pred.max() > 1.0):
-        raise ValueError("predictions must lie in [0, 1]")
-    return Cover(memberships=(c_pred >= threshold).astype(np.uint8))
-
-
 def _seeds(seed: int) -> tuple[int, int]:
     s = np.random.SeedSequence(seed).generate_state(2, dtype=np.uint64)
     return int(s[0]), int(s[1])
 
 
-def _train_epochs(params, state, p_mat, x, px, sampled, pseudo_cover, config, epochs, phase):
+def _train_epochs(params, p_mat, x, px, sampled, pseudo_cover, config, epochs, phase):
+    """``epochs`` Adam steps on ``params`` in place from fresh moments; the loss trace."""
+    state = AdamState.for_params(params)
     trace = []
     for epoch in range(epochs):
         value, grads = loss_and_gradients(
@@ -126,49 +123,19 @@ def initial_training(p_mat, x: np.ndarray, px: np.ndarray, sampled: SampledLabel
     final-epoch parameters and the per-epoch loss trace.
     """
     _, init_seed = _seeds(config.seed)
-    k = pseudo_cover.n_communities
-    params = init_params(x.shape[1], config.hidden, k, init_seed,
-                         activate_final=config.activate_final)
-    state = AdamState.for_params(params)
-    trace = _train_epochs(params, state, p_mat, x, px, sampled, pseudo_cover,
-                          config, config.epochs_initial, "initial_training")
+    params = init_params(x.shape[1], config.hidden, pseudo_cover.n_communities,
+                         init_seed, activate_final=config.activate_final)
+    trace = _train_epochs(params, p_mat, x, px, sampled, pseudo_cover, config,
+                          config.epochs_initial, "initial_training")
     return params, trace
 
 
 def refined_training(p_mat, x: np.ndarray, px: np.ndarray, sampled: SampledLabels,
-                     params: ModelParams, config: TrainConfig,
-                     true_cover: Cover | None = None,
-                     clique_cover: Cover | None = None):
-    """Refresh pseudo-labels from the warm model and continue training it.
-
-    p_mat is the graph's ``gcn_norm`` and px is ``p_mat @ x``. Returns
-    (params, C_final, RunReport); onmi fields are filled only when
-    true_cover is given.
-    """
-    report = RunReport()
-
-    c_pred = predict(params, config.fusion, p_mat, x, px)
-    if true_cover is not None:
-        report.onmi_initial = onmi(binarize(c_pred, config.binarize_threshold), true_cover)
-
-    pseudo_cover = refresh_pseudo_labels(c_pred, sampled, config.pseudo.tau)
-    if config.refresh_union and clique_cover is not None:
-        pseudo_cover = union_covers(pseudo_cover, clique_cover)
-    report.n_pseudo_refined = pseudo_coverage(pseudo_cover, sampled)
-
-    state = AdamState.for_params(params)
-    start = time.perf_counter()
-    report.loss_trace_refined = _train_epochs(
-        params, state, p_mat, x, px, sampled, pseudo_cover, config,
-        config.epochs_refined, "refined_training",
-    )
-    report.wall_time_refined = time.perf_counter() - start
-
-    c_final = binarize(predict(params, config.fusion, p_mat, x, px),
-                       config.binarize_threshold)
-    if true_cover is not None:
-        report.onmi = onmi(c_final, true_cover)
-    return params, c_final, report
+                     params: ModelParams, pseudo_cover: Cover, config: TrainConfig):
+    """Continue training the warm ``params`` in place against the refreshed
+    pseudo labels; returns the per-epoch loss trace."""
+    return _train_epochs(params, p_mat, x, px, sampled, pseudo_cover, config,
+                         config.epochs_refined, "refined_training")
 
 
 def run_pipeline(graph: Graph, x: np.ndarray, true_cover: Cover,
@@ -184,21 +151,30 @@ def run_pipeline(graph: Graph, x: np.ndarray, true_cover: Cover,
         cliques, sampled, graph.n_nodes, true_cover.n_communities,
         config.pseudo.r_c,
     )
+    report = RunReport(n_pseudo_initial=pseudo_coverage(clique_cover, sampled))
 
     p_mat = gcn_norm(graph)
     px = p_mat @ x  # the first GCN layer's propagation, the same in every epoch
     start = time.perf_counter()
-    params, trace_initial = initial_training(p_mat, x, px, sampled, clique_cover, config)
-    wall_initial = time.perf_counter() - start
+    params, report.loss_trace_initial = initial_training(
+        p_mat, x, px, sampled, clique_cover, config)
+    report.wall_time_initial = time.perf_counter() - start
 
-    params, c_final, report = refined_training(
-        p_mat, x, px, sampled, params, config,
-        true_cover=true_cover, clique_cover=clique_cover,
-    )
-    report.n_pseudo_initial = pseudo_coverage(clique_cover, sampled)
-    report.loss_trace_initial = trace_initial
-    report.wall_time_initial = wall_initial
+    c_pred = predict(params, config.fusion, p_mat, x, px)
+    report.onmi_initial = onmi(binarize(c_pred, config.binarize_threshold), true_cover)
+    pseudo_cover = refresh_pseudo_labels(c_pred, sampled, config.pseudo.tau)
+    if config.refresh_union:
+        pseudo_cover = union_covers(pseudo_cover, clique_cover)
+    report.n_pseudo_refined = pseudo_coverage(pseudo_cover, sampled)
 
+    start = time.perf_counter()
+    report.loss_trace_refined = refined_training(
+        p_mat, x, px, sampled, params, pseudo_cover, config)
+    report.wall_time_refined = time.perf_counter() - start
+
+    c_final = binarize(predict(params, config.fusion, p_mat, x, px),
+                       config.binarize_threshold)
+    report.onmi = onmi(c_final, true_cover)
     if artifacts is not None:
         artifacts.update(
             sampled=sampled, cliques=cliques, clique_cover=clique_cover,

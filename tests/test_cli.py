@@ -20,6 +20,9 @@ from conftest import graph_to_adj
 from oracles import weak_cliques_reference
 
 
+NAN, INF = float("nan"), float("inf")  # json.dumps writes NaN and Infinity
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -193,6 +196,9 @@ OUT_OF_RANGE = [
     ["train", "--rc", 0], ["train", "--seed", -1], ["ablate", "--rhos", 2],
     ["ablate", "--seeds", -1], ["pseudo", "--rho", 2], ["pseudo", "--rc", 0],
     ["synth", "--nodes", 0], ["synth", "--communities", 0],
+    ["train", "--lr", -1], ["train", "--lr", 0], ["train", "--alpha", "nan"],
+    ["train", "--lambda1", "inf"], ["synth", "--feature-signal", "nan"],
+    ["synth", "--feature-noise", "inf"],
 ]
 
 
@@ -224,11 +230,15 @@ class TestExitCodes:
                                       {"rho": 2}, {"pseudo": {"tau": 1.0}}, {"hidden": 0},
                                       {"pseudo": {"r_c": 0}}, {"seed": -1},
                                       {"hidden": 2.5}, {"epochs_initial": 1.5}, {"lr": "0.1"},
-                                      {"pseudo": {"r_c": 1.5}}, {"seed": 1.5}],
+                                      {"pseudo": {"r_c": 1.5}}, {"seed": 1.5},
+                                      {"lr": NAN}, {"fusion": {"alpha": NAN}}, {"lam2": NAN},
+                                      {"lr": INF}, {"lam1": INF}, {"fusion": {"beta": INF}},
+                                      {"lr": -1}, {"lr": 0}],
                              ids=["fusion_not_object", "pseudo_not_object", "select_best",
                                   "rho_2", "tau_1", "hidden_0", "rc_0", "seed_-1",
                                   "hidden_float", "epochs_float", "lr_str", "rc_float",
-                                  "seed_float"])
+                                  "seed_float", "lr_nan", "alpha_nan", "lam2_nan", "lr_inf",
+                                  "lam1_inf", "beta_inf", "lr_-1", "lr_0"])
     def test_config_value_rejected(self, synth_dir, tmp_path, capsys, body):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(body))

@@ -278,6 +278,14 @@ class TestSynth:
             SynthConfig(n_nodes=10, n_communities=2, p_in=0.1, p_out=0.2)
         with pytest.raises(ValueError):
             SynthConfig(n_nodes=10, n_communities=2, seed=-1)
+        for bad in (dict(feature_signal=float("nan")), dict(feature_noise=float("inf")),
+                    dict(p_in=float("nan"))):
+            with pytest.raises(ValueError):
+                SynthConfig(n_nodes=10, n_communities=2, **bad)
+        for bad in (dict(n_nodes=40.0), dict(seed=1.5), dict(overlap_edges=1),
+                    dict(p_in="0.1")):
+            with pytest.raises(TypeError):
+                SynthConfig(**{"n_nodes": 10, "n_communities": 2, **bad})
 
     @pytest.mark.parametrize("kwargs, n_edges, digest", [
         (dict(n_nodes=60, n_communities=3, seed=7), 58,

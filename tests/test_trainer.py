@@ -1,16 +1,25 @@
+import ast
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import wocd.train
 from wocd import (
     Cover,
     FusionParams,
     PseudoConfig,
+    SampledLabels,
     SynthConfig,
     TrainConfig,
     binarize,
     gcn_norm,
     initial_training,
+    predict,
+    pseudo_coverage,
     refined_training,
+    refresh_pseudo_labels,
     run_pipeline,
     sample_labels,
     synth_graph,
@@ -84,27 +93,69 @@ class TestRefinedTraining:
         config = quick_config(pseudo=PseudoConfig(r_c=1, tau=1 - 1e-12))
         sampled = sample_labels(cover, config.rho, seed=3)
         p = gcn_norm(graph)
-        params, _ = initial_training(p, x, p @ x, sampled, cover, config)
+        px = p @ x
+        params, _ = initial_training(p, x, px, sampled, cover, config)
         before = params.copy()
-        params, _, report = refined_training(p, x, p @ x, sampled, params, config)
+        c_pred = predict(params, config.fusion, p, x, px)
+        pseudo = refresh_pseudo_labels(c_pred, sampled, config.pseudo.tau)
+        assert pseudo_coverage(pseudo, sampled) == 0
+        trace = refined_training(p, x, px, sampled, params, pseudo, config)
         # with no surviving pseudo-labels only the supervised term remains;
         # compare against an explicit lam2=0 run from the same warm start
+        # whose pseudo cover is not empty
         config2 = quick_config(lam2=0.0, pseudo=PseudoConfig(r_c=1, tau=0.5))
-        params2, _, report2 = refined_training(p, x, p @ x, sampled, before, config2)
-        assert report.n_pseudo_refined == 0 or report.loss_trace_refined == report2.loss_trace_refined
+        pseudo2 = refresh_pseudo_labels(c_pred, sampled, config2.pseudo.tau)
+        assert pseudo_coverage(pseudo2, sampled) > 0
+        trace2 = refined_training(p, x, px, sampled, before, pseudo2, config2)
+        assert len(trace) == config.epochs_refined
+        assert trace == trace2
+        np.testing.assert_array_equal(params.flat, before.flat)
 
     def test_epochs_zero_keeps_initial_params(self):
         graph, x, cover = small_instance()
         config = quick_config(epochs_refined=0)
-        sampled = sample_labels(cover, config.rho, seed=3)
+        artifacts: dict = {}
+        report = run_pipeline(graph, x, cover, config, artifacts=artifacts)
         p = gcn_norm(graph)
-        params, _ = initial_training(p, x, p @ x, sampled, cover, config)
+        px = p @ x
+        params, _ = initial_training(p, x, px, artifacts["sampled"],
+                                     artifacts["clique_cover"], config)
         snapshot = params.copy()
-        _, c_final, report = refined_training(p, x, p @ x, sampled, params, config,
-                                              true_cover=cover)
+        assert refined_training(p, x, px, artifacts["sampled"], params,
+                                artifacts["clique_cover"], config) == []
         np.testing.assert_array_equal(params.flat, snapshot.flat)
+        np.testing.assert_array_equal(artifacts["params"].flat, snapshot.flat)
         assert report.loss_trace_refined == []
         assert report.onmi == report.onmi_initial
+
+
+def _sha256(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
+
+
+# run_pipeline on small_instance() with quick_config(**kwargs): sha256 of the
+# float64 loss traces and of the uint8 c_final memberships, both ONMI floats
+# and both pseudo-label counts; a refactor that keeps results keeps all of them
+PINNED_RUNS = [
+    (dict(),
+     "4a1c54e1c692a6ce54fd31f0795c36e6810a67abf971560a89b706c05a650403",
+     "5bf930bc3746a7931d1a234d0e7ae05681aef7e12b31f53eb94649505b3fbf46",
+     "297493e0cd834e79a3113ab08e1587089cb38b81ab2cec3c4e06eb73540883b5",
+     0.1899809241376893, 0.14593461575502342, 39, 0),
+    (dict(refresh_union=True, activate_final=True),
+     "c02ecfee75b2c3fd484eea4e0fb21c00451ebf5997beae0d9da44cbbf6889e57",
+     "5eb8502bc2f8af44bb5f72a93f71801888140a5071bb10281479a9c750fd6a4d",
+     "5775a736f9c654e44b9d72018e54726eaef52c6942d909d97e56457a99cc65ef",
+     0.19043926452773507, 0.161950560710308, 39, 39),
+]
+
+
+def _bench_tracer_targets() -> list:
+    """``TARGETS`` of bench/tracing.py: (module, attribute, span name)."""
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "bench" / "tracing.py").read_text())
+    return next(ast.literal_eval(node.value) for node in tree.body
+                if isinstance(node, ast.Assign)
+                and getattr(node.targets[0], "id", None) == "TARGETS")
 
 
 class TestRunPipeline:
@@ -140,6 +191,51 @@ class TestRunPipeline:
         graph, x, cover = small_instance()
         with pytest.raises(ValueError):
             run_pipeline(graph, x[:10], cover, quick_config())
+
+    @pytest.mark.parametrize("pinned", PINNED_RUNS, ids=["defaults", "union_final"])
+    def test_pinned_bit_for_bit(self, pinned):
+        kwargs, initial, refined, c_final, onmi, onmi_initial, n_initial, n_refined = pinned
+        graph, x, cover = small_instance()
+        artifacts: dict = {}
+        report = run_pipeline(graph, x, cover, quick_config(**kwargs), artifacts=artifacts)
+        assert _sha256(np.array(report.loss_trace_initial, dtype=np.float64)) == initial
+        assert _sha256(np.array(report.loss_trace_refined, dtype=np.float64)) == refined
+        assert artifacts["c_final"].memberships.dtype == np.uint8
+        assert _sha256(artifacts["c_final"].memberships) == c_final
+        assert report.onmi == onmi
+        assert report.onmi_initial == onmi_initial
+        assert (report.n_pseudo_initial, report.n_pseudo_refined) == (n_initial, n_refined)
+
+    def test_bench_tracer_lookups(self, monkeypatch):
+        # bench/tracing.py times each stage by swapping wrappers into these
+        # wocd.train attributes; run_pipeline must call every one of them
+        # through the module, as often as below and with these arguments
+        targets = {attr for module, attr, _ in _bench_tracer_targets()
+                   if module == "wocd.train"}
+        calls = {attr: [] for attr in targets}
+
+        def counting(attr, fn):
+            def wrapper(*args, **kwargs):
+                calls[attr].append(args)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for attr in targets:
+            monkeypatch.setattr(wocd.train, attr, counting(attr, getattr(wocd.train, attr)))
+        graph, x, cover = small_instance()
+        run_pipeline(graph, x, cover, quick_config(epochs_initial=2, epochs_refined=2))
+        counts = {attr: len(args) for attr, args in calls.items()}
+        assert counts == {
+            "sample_labels": 1, "identify_weak_cliques": 1,
+            "construct_pseudo_labels": 1, "gcn_norm": 1,
+            "initial_training": 1, "refined_training": 1,
+            "refresh_pseudo_labels": 1, "predict": 2, "onmi": 2,
+            "loss_and_gradients": 4, "adam_step": 4,
+        }
+        c_pred, sampled, tau = calls["refresh_pseudo_labels"][0]
+        assert isinstance(c_pred, np.ndarray)
+        assert isinstance(sampled, SampledLabels)
+        assert isinstance(tau, float)
 
     def test_refresh_union_keeps_clique_labels(self):
         # the union with the clique cover can only add pseudo-labeled nodes
