@@ -8,6 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import Graph
+from .parallel import row_blocks, run_row_blocks
 
 
 @dataclass(frozen=True)
@@ -50,24 +51,34 @@ class CliqueSet:
         )
 
 
-# rows of A @ A computed at once; bounds the product's memory at
-# O(ROW_BLOCK * n) instead of O(sum of squared degrees)
-ROW_BLOCK = 512
+# scalar products of A @ A per row block: a block's product holds at most
+# max(CLIQUE_BLOCK_WORK, n) entries, and each worker has one block in flight
+CLIQUE_BLOCK_WORK = 1 << 18
+
+
+def _clique_blocks(adj: sp.csr_array) -> list:
+    """Row bounds of the blocks of ``_slot_common``: row u of A @ A takes
+    (A @ d)[u] products, the degrees of u's neighbors summed."""
+    work = adj @ np.diff(adj.indptr).astype(np.int64)
+    return row_blocks(np.concatenate([[0], np.cumsum(work)]), CLIQUE_BLOCK_WORK)
 
 
 def _slot_common(adj: sp.csr_array) -> np.ndarray:
     """Common-neighbor count of every directed edge slot, in ``indices`` order.
 
-    The masked product (A @ A) o A, taken ROW_BLOCK rows at a time. Adding
-    the block itself keeps the slots of edges with no common neighbor, which
-    the elementwise product alone would drop.
+    The masked product (A @ A) o A, taken a block of ``_clique_blocks`` rows
+    at a time on every CPU. Adding the block itself keeps the slots of edges
+    with no common neighbor, which the elementwise product alone would drop.
     """
     out = np.empty(adj.nnz, dtype=np.int64)
-    for r0 in range(0, adj.shape[0], ROW_BLOCK):
-        blk = adj[r0:r0 + ROW_BLOCK]
+
+    def block(r0, r1):
+        blk = adj[r0:r1]
         counted = (blk @ adj) * blk + blk
         counted.sort_indices()  # the product's rows come out unsorted
-        out[adj.indptr[r0]:adj.indptr[r0] + blk.nnz] = counted.data - 1
+        out[adj.indptr[r0]:adj.indptr[r1]] = counted.data - 1
+
+    run_row_blocks(block, _clique_blocks(adj))
     return out
 
 
@@ -112,8 +123,9 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     endpoints as future starting points. Ties break toward the smaller id.
     Isolated nodes are retired without emitting anything.
 
-    Work and memory are O(sum of squared degrees) and O(ROW_BLOCK * n) for
-    the common-neighbor counts; the rest is linear in the edge count.
+    The common-neighbor counts take O(sum of squared degrees) work, spread
+    over every CPU, and each worker's block product holds at most
+    max(CLIQUE_BLOCK_WORK, n) entries; the rest is linear in the edge count.
     """
     n = graph.n_nodes
     indptr, indices = graph.indptr, graph.indices

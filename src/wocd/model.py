@@ -10,11 +10,14 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .graph import Cover, Graph, SampledLabels, check_field_types
+from .parallel import row_blocks, run_row_blocks
 from .pseudo import pseudo_rows
 
 CLAMP_EPS = 1e-7
+SPMM_BLOCK_NNZ = 1 << 16  # stored entries of P per row block of P @ Z
 
 
 class DegenerateProjectionError(ValueError):
@@ -88,7 +91,36 @@ def init_params(d: int, h: int, k: int, seed: int, activate_final: bool = False)
     return params
 
 
-def gcn_norm(graph: Graph) -> sp.csr_matrix:
+class RowBlockedCSR(sp.csr_matrix):
+    """A CSR matrix whose product with a 2-D ndarray runs in row blocks of
+    at most SPMM_BLOCK_NNZ stored entries on every CPU (``wocd.parallel``).
+
+    Each block is the kernel of the plain product, SciPy's private
+    ``csr_matvecs``, over views of this matrix's arrays, writing its rows of
+    one preallocated output, so the product equals the plain ``csr_matrix``
+    one bit for bit. Every other operand, and a wrong-shaped one, goes to
+    ``csr_matrix``.
+    """
+
+    def __matmul__(self, other):
+        n_rows, n_cols = self.shape
+        if not (type(other) is np.ndarray and other.ndim == 2
+                and other.shape[0] == n_cols and other.shape[1] != 1
+                and np.result_type(self.dtype, other.dtype) == self.dtype):
+            return super().__matmul__(other)
+        n_vecs = other.shape[1]
+        z = np.ascontiguousarray(other, dtype=self.dtype).ravel()
+        out = np.zeros((n_rows, n_vecs), dtype=self.dtype)  # the kernel adds into it
+
+        def block(r0, r1):
+            _sparsetools.csr_matvecs(r1 - r0, n_cols, n_vecs, self.indptr[r0:r1 + 1],
+                                     self.indices, self.data, z, out[r0:r1].ravel())
+
+        run_row_blocks(block, row_blocks(self.indptr, SPMM_BLOCK_NNZ))
+        return out
+
+
+def gcn_norm(graph: Graph) -> RowBlockedCSR:
     """Symmetrically normalized self-looped adjacency as a CSR matrix."""
     n = graph.n_nodes
     d_tilde = graph.degrees().astype(np.float64) + 1.0
@@ -97,7 +129,7 @@ def gcn_norm(graph: Graph) -> sp.csr_matrix:
     rows = np.concatenate([src, np.arange(n)])
     cols = np.concatenate([graph.indices, np.arange(n)])
     vals = inv_sqrt[rows] * inv_sqrt[cols]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return RowBlockedCSR((vals, (rows, cols)), shape=(n, n))
 
 
 def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import wocd.parallel
 from wocd import Cover, Graph, SampledLabels
 
 
@@ -30,3 +31,11 @@ def random_sampled(rng, cover, n_sampled):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260823)
+
+
+@pytest.fixture(params=[1, 2], ids=["1_worker", "2_workers"])
+def workers(request, monkeypatch):
+    """Run the row-blocked kernels on this many workers whatever the machine
+    has: 1 takes the inline path, 2 the pooled one."""
+    monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: request.param)
+    return request.param
