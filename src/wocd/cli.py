@@ -61,7 +61,7 @@ EXIT_CODES = {
     UsageError: 2,
     FormatError: 3, FileNotFoundError: 3,
     FloatingPointError: 4, DegenerateProjectionError: 4,
-    ValueError: 1, IndexError: 1, OSError: 1,
+    ValueError: 1, IndexError: 1, OSError: 1, MemoryError: 1,
 }
 
 
@@ -189,6 +189,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     pred = load_cover(args.pred)
     truth = load_cover(args.truth)
+    if pred.n_nodes != truth.n_nodes:
+        raise FormatError("prediction and truth disagree on the number of nodes")
     sys.stdout.write(_json_text(asdict(metric_report(pred, truth))))
     return 0
 

@@ -6,19 +6,16 @@ still computed by the same kernel over the same entries in the same order as
 in one serial call, so results are bit-identical whatever the worker count.
 
 One worker runs per CPU in the process's affinity mask (``taskset`` limits
-it): the calling thread plus a pool of count - 1 threads, created on first use.
+it): the calling thread plus count - 1 threads started for each call and
+joined before it returns, so no thread outlives a call.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-
-_pool = None  # (thread count, executor) once a call has needed threads
-_pool_lock = threading.Lock()
 
 
 def cpu_count() -> int:
@@ -26,27 +23,6 @@ def cpu_count() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _forget_pool() -> None:
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-# a forked child inherits the pool but none of its threads, so a block handed
-# to it would never run, and the lock as it was, perhaps held
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _executor(threads: int) -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != threads:
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads, ThreadPoolExecutor(threads, thread_name_prefix="wocd-rows"))
-        return _pool[1]
 
 
 def row_blocks(cum_work, budget: int) -> list:
@@ -68,13 +44,15 @@ def run_row_blocks(fn, bounds) -> None:
     """Call ``fn(r0, r1)`` once for every consecutive pair of ``bounds``.
 
     The blocks must write disjoint outputs. With one block or one CPU they
-    run inline; otherwise the caller and the pool threads take them in turn
-    from one shared queue. The first exception a block raises is raised here
-    once no block is running, and no block starts after it.
+    run inline; otherwise the caller and ``min(cpu_count(), blocks) - 1``
+    threads started for this call take them in turn from one shared queue,
+    and every thread is joined before this returns. The first exception a
+    block raises is raised here once no block is running, and no block
+    starts after it.
     """
     spans = list(zip(bounds[:-1], bounds[1:]))
-    cpus = cpu_count() if len(spans) > 1 else 1
-    if cpus == 1:
+    workers = min(cpu_count(), len(spans))
+    if workers <= 1:
         for r0, r1 in spans:
             fn(r0, r1)
         return
@@ -92,11 +70,11 @@ def run_row_blocks(fn, bounds) -> None:
                 with lock:
                     failed.append(exc)
 
-    pool = _executor(cpus - 1)
-    tasks = [pool.submit(drain) for _ in range(min(cpus, len(spans)) - 1)]
+    threads = [threading.Thread(target=drain) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
     drain()
-    for task in tasks:
-        if not task.cancel():  # a task still queued has nothing left to do
-            task.result()
+    for thread in threads:
+        thread.join()
     if failed:
         raise failed[0]

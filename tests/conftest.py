@@ -36,6 +36,6 @@ def rng():
 @pytest.fixture(params=[1, 2], ids=["1_worker", "2_workers"])
 def workers(request, monkeypatch):
     """Run the row-blocked kernels on this many workers whatever the machine
-    has: 1 takes the inline path, 2 the pooled one."""
+    has: 1 takes the inline path, 2 the threaded one."""
     monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: request.param)
     return request.param

@@ -326,6 +326,21 @@ class TestExitCodes:
         assert run([*argv, "--out", out]) == 1
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command", ["eval", "cliques"])
+    def test_unallocatable_size_header(self, tmp_path, capsys, command):
+        # 178 PiB and 711 PiB: beyond any address space, so the allocation
+        # fails at once without touching memory
+        if command == "eval":
+            cover = tmp_path / "cover.txt"
+            cover.write_text("#nodes=2\n#communities=100000000000000000\n0: 0\n1: 1\n")
+            argv = ["eval", "--pred", cover, "--truth", cover]
+        else:
+            edges = tmp_path / "edges.tsv"
+            edges.write_text("#nodes=100000000000000000\n0\t1\n")
+            argv = ["cliques", "--edges", edges]
+        assert run(argv) == 1
+        self.assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
     def test_out_of_range_flag(self, tmp_path, capsys, argv):
         # the inputs do not exist: the value must be rejected before they are read;
@@ -348,6 +363,14 @@ class TestEval:
                     "--truth", synth_dir / "cover.txt"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["onmi"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_node_count_mismatch_exit_code(self, synth_dir, tmp_path, capsys):
+        truth = load_cover(synth_dir / "cover.txt")
+        short = tmp_path / "short.txt"
+        write_cover(Cover(memberships=truth.memberships[:-1]), short)
+        assert run(["eval", "--pred", short, "--truth", synth_dir / "cover.txt"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 class TestAblate:

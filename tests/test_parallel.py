@@ -1,6 +1,7 @@
-"""Row-blocked sparse kernels: block sizing, the worker pool, and results
-bit-identical to the serial SciPy products on any worker count."""
+"""Row-blocked sparse kernels: block sizing, the per-call worker threads, and
+results bit-identical to the serial SciPy products on any worker count."""
 
+import contextlib
 import multiprocessing
 import os
 import queue
@@ -152,10 +153,10 @@ def _product_in_child(p, z, out):
 
 
 @pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork")
-@pytest.mark.filterwarnings("ignore:.*multi-threaded.*fork:DeprecationWarning")
 def test_forked_child_after_pool_use(monkeypatch, many_blocks):
-    # the child inherits the parent's pool object but not its thread; it
-    # must make its own pool, not queue blocks that no thread will run
+    # a parent that has run blocked products holds no worker thread when it
+    # forks (Python 3.12 and later warn on forking a multi-threaded process;
+    # the warning fails the test); the child starts its own threads for a call
     monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: 2)
     p = gcn_norm(_graphs()["random"])
     z = _operands(p.shape[0])["c_order"]
@@ -176,6 +177,29 @@ def test_forked_child_after_pool_use(monkeypatch, many_blocks):
     assert got is not None, "the forked child did not finish"
     assert got.tobytes() == want.tobytes()
     assert n_threads == 2
+
+
+def test_no_thread_outlives_a_call(monkeypatch, many_blocks):
+    # every thread a call starts is joined before it returns, also when a
+    # block raises
+    monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: 2)
+    before = threading.enumerate()
+    for fail in (None, 15):
+        ran = set()
+
+        def fn(r0, r1):
+            ran.add(threading.current_thread())
+            time.sleep(0.01)
+            if r0 == fail:
+                raise ValueError(r0)
+
+        with pytest.raises(ValueError) if fail else contextlib.nullcontext():
+            run_row_blocks(fn, list(range(21)))
+        assert len(ran) == 2
+        assert threading.enumerate() == before
+        assert [t for t in ran if t.is_alive()] == [threading.current_thread()]
+    run_pipeline(*small_instance(), quick_config())
+    assert threading.enumerate() == before
 
 
 class TestBlockedProduct:
