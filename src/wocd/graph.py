@@ -82,6 +82,8 @@ class Graph:
         Self-loops are dropped, duplicates collapsed, and the adjacency
         symmetrized.
         """
+        if n_nodes > math.isqrt(np.iinfo(np.int64).max):  # keys src * N + dst fit int64
+            raise ValueError(f"{n_nodes} nodes: too many for int64 edge keys")
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
         e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
@@ -177,7 +179,10 @@ def _parse_header(line: str, key: str):
 
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: {exc}") from None
 
 
 def _split_comments(text: str):

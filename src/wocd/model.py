@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
 from .graph import Cover, Graph, SampledLabels, check_field_types
 from .parallel import row_blocks, run_row_blocks
@@ -95,28 +94,28 @@ class RowBlockedCSR(sp.csr_matrix):
     """A CSR matrix whose product with a 2-D ndarray runs in row blocks of
     at most SPMM_BLOCK_NNZ stored entries on every CPU (``wocd.parallel``).
 
-    Each block is the kernel of the plain product, SciPy's private
-    ``csr_matvecs``, over views of this matrix's arrays, writing its rows of
-    one preallocated output, so the product equals the plain ``csr_matrix``
-    one bit for bit. Every other operand, and a wrong-shaped one, goes to
-    ``csr_matrix``.
+    Each block is a plain ``csr_matrix`` over views of this matrix's arrays,
+    and its public product with the operand fills its rows of one output, so
+    the result equals the plain ``csr_matrix`` product bit for bit. A matrix
+    that is one block, every other operand and a wrong-shaped one go to
+    ``csr_matrix`` as they are.
     """
 
     def __matmul__(self, other):
         n_rows, n_cols = self.shape
+        bounds = row_blocks(self.indptr, SPMM_BLOCK_NNZ)
         if not (type(other) is np.ndarray and other.ndim == 2
-                and other.shape[0] == n_cols and other.shape[1] != 1
-                and np.result_type(self.dtype, other.dtype) == self.dtype):
+                and other.shape[0] == n_cols and len(bounds) > 2):
             return super().__matmul__(other)
-        n_vecs = other.shape[1]
-        z = np.ascontiguousarray(other, dtype=self.dtype).ravel()
-        out = np.zeros((n_rows, n_vecs), dtype=self.dtype)  # the kernel adds into it
+        out = np.empty((n_rows, other.shape[1]), dtype=np.result_type(self.dtype, other.dtype))
 
         def block(r0, r1):
-            _sparsetools.csr_matvecs(r1 - r0, n_cols, n_vecs, self.indptr[r0:r1 + 1],
-                                     self.indices, self.data, z, out[r0:r1].ravel())
+            s, e = self.indptr[r0], self.indptr[r1]
+            rows = sp.csr_matrix((self.data[s:e], self.indices[s:e], self.indptr[r0:r1 + 1] - s),
+                                 shape=(r1 - r0, n_cols), copy=False)
+            out[r0:r1] = rows @ other
 
-        run_row_blocks(block, row_blocks(self.indptr, SPMM_BLOCK_NNZ))
+        run_row_blocks(block, bounds)
         return out
 
 

@@ -1,9 +1,10 @@
 """Row blocks of the sparse kernels, run on every CPU.
 
-SciPy's compiled sparse kernels release the interpreter lock, so threads that
-each take a disjoint block of output rows run on separate CPUs. Each row is
-still computed by the same kernel over the same entries in the same order as
-in one serial call, so results are bit-identical whatever the worker count.
+Each block is SciPy's public product of some consecutive rows of a CSR
+matrix. Its compiled kernels release the interpreter lock, so threads that
+each take blocks run on separate CPUs. A block computes each row over the
+same entries in the same order as the whole product, so results are
+bit-identical whatever the worker count.
 
 One worker runs per CPU in the process's affinity mask (``taskset`` limits
 it): the calling thread plus count - 1 threads started for each call and

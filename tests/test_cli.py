@@ -326,20 +326,41 @@ class TestExitCodes:
         assert run([*argv, "--out", out]) == 1
         self.assert_one_line_error(capsys)
 
-    @pytest.mark.parametrize("command", ["eval", "cliques"])
-    def test_unallocatable_size_header(self, tmp_path, capsys, command):
+    @pytest.mark.parametrize("case", ["eval", "cliques", "max_int64_id", "key_overflow_id"])
+    def test_unallocatable_size_header(self, tmp_path, capsys, case):
         # 178 PiB and 711 PiB: beyond any address space, so the allocation
-        # fails at once without touching memory
-        if command == "eval":
+        # fails at once without touching memory; a node id of 2**63 - 1 or
+        # 3037000500 implies an N whose edge keys src * N + dst overflow int64
+        if case == "eval":
             cover = tmp_path / "cover.txt"
             cover.write_text("#nodes=2\n#communities=100000000000000000\n0: 0\n1: 1\n")
             argv = ["eval", "--pred", cover, "--truth", cover]
         else:
             edges = tmp_path / "edges.tsv"
-            edges.write_text("#nodes=100000000000000000\n0\t1\n")
+            edges.write_text({"cliques": "#nodes=100000000000000000\n0\t1\n",
+                              "max_int64_id": "0\t9223372036854775807\n",
+                              "key_overflow_id": "0\t3037000500\n"}[case])
             argv = ["cliques", "--edges", edges]
         assert run(argv) == 1
         self.assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("command, bad", [
+        ("cliques", "edges"), ("eval", "cover"), ("pseudo", "edges"), ("pseudo", "cover"),
+        ("train", "edges"), ("train", "cover")])
+    def test_non_utf8_input(self, synth_dir, tmp_path, capsys, command, bad):
+        files = {"edges": synth_dir / "edges.tsv", "cover": synth_dir / "cover.txt"}
+        files[bad] = tmp_path / f"{bad}.txt"
+        files[bad].write_bytes(b"0\t1\n\xff\xfe\t2\n" if bad == "edges" else b"0: 0\n\xff: 1\n")
+        argv = {"cliques": ["--edges", files["edges"]],
+                "eval": ["--pred", files["cover"], "--truth", synth_dir / "cover.txt"],
+                "pseudo": ["--edges", files["edges"], "--cover", files["cover"], "--rho", 0.2],
+                "train": ["--edges", files["edges"], "--features", synth_dir / "features.csv",
+                          "--cover", files["cover"], "--epochs-initial", 1,
+                          "--epochs-refined", 1, "--hidden", 4]}[command]
+        out = [] if command == "eval" else ["--out", tmp_path / "out"]
+        assert run([command, *argv, *out]) == 3
+        err = capsys.readouterr().err
+        assert str(files[bad]) in err and err.startswith("error:") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
     def test_out_of_range_flag(self, tmp_path, capsys, argv):

@@ -58,6 +58,12 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             load_edge_list(_write(tmp_path, "e.tsv", "#nodes=2\n1\t5\n"))
 
+    @pytest.mark.parametrize("n", [3037000500, 2**63])
+    def test_node_count_past_int64_keys(self, n):
+        # 3037000500**2 > 2**63 - 1: the edge keys src * N + dst would wrap
+        with pytest.raises(ValueError, match="too many for int64 edge keys"):
+            Graph.from_edges([(0, 1)], n)
+
     def test_round_trip(self, tmp_path, rng):
         pairs = [(u, v) for u in range(15) for v in range(u + 1, 15) if rng.random() < 0.3]
         g = Graph.from_edges(pairs, 15)

@@ -3,6 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import wocd.model
+import wocd.parallel
+
 from wocd import (
     AdamState,
     Cover,
@@ -22,6 +25,7 @@ from wocd import (
 )
 
 from wocd.model import param_layout
+from wocd.parallel import row_blocks
 
 from conftest import random_cover, random_graph, random_sampled
 from oracles import (
@@ -327,6 +331,16 @@ class TestEpochBuffers:
         fusion = FusionParams()
         # Z0, Q, K, V and U, plus one temporary while they are alive
         assert self._peak_n_by_h(lambda: predict(params, fusion, p, x, px), x, params) <= 7.0
+
+    def test_peak_memory_of_blocked_product(self, monkeypatch):
+        p, x, _, params, _, _ = self._instance()
+        monkeypatch.setattr(wocd.model, "SPMM_BLOCK_NNZ", 4096)
+        monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: 2)
+        assert len(row_blocks(p.indptr, 4096)) - 1 >= 8
+        z = np.random.default_rng(23).normal(size=(x.shape[0], params.dims[1]))
+        # the output plus the block products in flight, one per worker;
+        # stacking every block's rows before copying them out reads about 2
+        assert self._peak_n_by_h(lambda: p @ z, x, params) <= 1.5
 
     def test_inputs_untouched(self):
         p, x, px, params, sampled, pseudo = self._instance(n=300)

@@ -54,6 +54,9 @@ def _operands(n):
         "column_slice": z[:, 1:8:2],
         "int64": np.arange(n * 4).reshape(n, 4) - 2 * n,
         "bool": z > 0,
+        "complex128": z[:, :5] + 1j * z[:, 4:],
+        "float32": z.astype(np.float32),
+        "row_stride": np.random.default_rng(n + 1).normal(size=(2 * n, 9))[::2],
     }
 
 
