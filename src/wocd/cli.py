@@ -113,7 +113,7 @@ def _write_csv(path, header: list, rows: list) -> None:
 
 
 def cmd_synth(args) -> int:
-    values = {f.name: getattr(args, f.name) for f in fields(SynthConfig)}
+    values = {f.name: v for f in fields(SynthConfig) if (v := getattr(args, f.name)) is not None}
     config = _checked(SynthConfig, **values)
     graph, x, cover = synth_graph(config)
     out = Path(args.out)
@@ -238,19 +238,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
-    # each dest is the SynthConfig field the flag sets
+    # each dest is the SynthConfig field the flag sets; a field whose flag is
+    # unset (None) keeps its default
     p.add_argument("--nodes", type=int, required=True, dest="n_nodes")
     p.add_argument("--communities", type=int, required=True, dest="n_communities")
-    p.add_argument("--overlap", type=float, default=0.15, dest="overlap_fraction")
-    p.add_argument("--p-in", type=float, default=0.08)
-    p.add_argument("--p-out", type=float, default=0.002)
-    p.add_argument("--dims-per-community", type=int, default=16)
-    p.add_argument("--feature-signal", type=float, default=0.6)
-    p.add_argument("--feature-noise", type=float, default=0.05)
-    p.add_argument("--attribute-only-overlap", action="store_false", dest="overlap_edges",
-                   help="draw edges from primary communities only, so secondary "
-                        "memberships appear in features alone")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--overlap", type=float, dest="overlap_fraction")
+    p.add_argument("--p-in", type=float)
+    p.add_argument("--p-out", type=float)
+    p.add_argument("--dims-per-community", type=int)
+    p.add_argument("--feature-signal", type=float)
+    p.add_argument("--feature-noise", type=float)
+    p.add_argument("--attribute-only-overlap", action="store_false", default=None,
+                   dest="overlap_edges", help="draw edges from primary communities only, "
+                   "so secondary memberships appear in features alone")
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -263,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edges", type=Path, required=True)
     p.add_argument("--cover", type=Path, required=True)
     _add_config_flag(p, "--rho", required=True)
-    _add_config_flag(p, "--seed", default=0)
-    _add_config_flag(p, "--rc", default=1)
+    _add_config_flag(p, "--seed")
+    _add_config_flag(p, "--rc")
     p.add_argument("--out", type=Path, required=True)
     p.set_defaults(func=cmd_pseudo)
 

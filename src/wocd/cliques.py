@@ -82,24 +82,16 @@ def _slot_common(adj: sp.csr_array) -> np.ndarray:
     return out
 
 
-def _adjacency(graph: Graph) -> sp.csr_array:
-    n, ones = graph.n_nodes, np.ones(graph.indices.size, dtype=np.int32)
-    return sp.csr_array((ones, graph.indices, graph.indptr), shape=(n, n))
-
-
-def _scores(adj: sp.csr_array) -> tuple:
+def _scores(adj: sp.csr_array, deg: np.ndarray, src: np.ndarray) -> tuple:
     """Node priorities and the Salton index of every edge slot, in ``indices`` order.
 
-    A node of degree d whose neighbors share m edges has priority
-    (m + d) / (d + 1), or 0 when isolated; edge (u, v) has Salton index
-    |N(u) & N(v)| / sqrt(d_u * d_v).
+    With ``deg`` the degrees and ``src`` each slot's row, a node of degree d
+    whose neighbors share m edges has priority (m + d) / (d + 1), or 0 when
+    isolated; edge (u, v) has Salton index |N(u) & N(v)| / sqrt(d_u * d_v).
     """
-    n = adj.shape[0]
     slot_common = _slot_common(adj)
-    deg = np.diff(adj.indptr)
     degrees = deg.astype(np.float64)
-    src = np.repeat(np.arange(n), deg)
-    m = np.bincount(src, weights=slot_common, minlength=n) / 2.0
+    m = np.bincount(src, weights=slot_common, minlength=deg.size) / 2.0
     priority = np.where(degrees > 0, (m + degrees) / (degrees + 1.0), 0.0)
     inv_sqrt_d = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1.0)), 0.0)
     return priority, slot_common * inv_sqrt_d[src] * inv_sqrt_d[adj.indices]
@@ -129,13 +121,12 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     """
     n = graph.n_nodes
     indptr, indices = graph.indptr, graph.indices
-    adj = _adjacency(graph)
-    priority, si = _scores(adj)
+    adj, deg = graph.adjacency(), graph.degrees()
+    src = np.repeat(np.arange(n), deg)
+    priority, si = _scores(adj, deg, src)
 
     # each node's partner is its first (smallest-id) most Salton-similar
     # neighbor; consumed neighbors stay eligible, so it is fixed up front
-    deg = np.diff(indptr)
-    src = np.repeat(np.arange(n), deg)
     partner = np.full(n, -1, dtype=np.int64)
     if si.size:
         linked = deg > 0  # reduceat mishandles the empty segments of isolated nodes

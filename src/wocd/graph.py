@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import itertools
 import math
@@ -10,6 +11,7 @@ import re
 from dataclasses import dataclass, fields
 
 import numpy as np
+import scipy.sparse as sp
 
 
 SYNTH_BLOCK = 1 << 20  # entries of the N x N edge draw made at a time
@@ -68,6 +70,11 @@ class Graph:
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
+
+    def adjacency(self) -> sp.csr_array:
+        """The int32 0/1 adjacency matrix over this graph's own arrays."""
+        ones = np.ones(self.indices.size, dtype=np.int32)
+        return sp.csr_array((ones, self.indices, self.indptr), shape=(self.n_nodes,) * 2)
 
     def edge_pairs(self) -> np.ndarray:
         """(M, 2) array of undirected edges with u < v, lexicographic order."""
@@ -168,13 +175,14 @@ _NOT_ID = re.compile(r"[^0-9+\-:\s]")  # a character no valid cover line has
 
 
 def _parse_header(line: str, key: str):
+    """The size N >= 0 of a '#key=N' line, None for any other line."""
     prefix = f"#{key}="
-    if line.startswith(prefix):
-        try:
-            return int(line[len(prefix):])
-        except ValueError as exc:
-            raise FormatError(f"bad header line: {line!r}") from exc
-    return None
+    if not line.startswith(prefix):
+        return None
+    with contextlib.suppress(ValueError):
+        if (value := int(line[len(prefix):])) >= 0:
+            return value
+    raise FormatError(f"bad header line: {line!r}")
 
 
 def _read_text(path) -> str:
@@ -218,7 +226,7 @@ def _header_values(comments, *keys) -> list:
     return values
 
 
-def _data_lines(text: str, keys):
+def _data_lines(path, text: str, keys):
     """(line number, stripped line) of every data line, checking each
     header on the way. Only the error paths of the parsers scan lines."""
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -226,14 +234,17 @@ def _data_lines(text: str, keys):
         if not line:
             continue
         if line.startswith("#"):
-            _header_values([line], *keys)
+            try:
+                _header_values([line], *keys)
+            except FormatError as exc:
+                raise FormatError(f"{path}:{lineno}: {exc}") from None
             continue
         yield lineno, line
 
 
 def _edge_list_error(path, text: str) -> FormatError:
     """The error for the first malformed line of an edge list."""
-    for lineno, line in _data_lines(text, ("nodes",)):
+    for lineno, line in _data_lines(path, text, ("nodes",)):
         parts = line.split()
         if len(parts) != 2:
             return FormatError(f"{path}:{lineno}: expected 'u\\tv', got {line!r}")
@@ -280,7 +291,7 @@ def write_edge_list(graph: Graph, path) -> None:
 def _cover_error(path, text: str) -> FormatError:
     """The error for the first malformed line of a cover file."""
     seen = set()
-    for lineno, line in _data_lines(text, ("nodes", "communities")):
+    for lineno, line in _data_lines(path, text, ("nodes", "communities")):
         if ":" not in line:
             return FormatError(f"{path}:{lineno}: expected 'node: c1 c2 ...'")
         head, _, tail = line.partition(":")
@@ -324,7 +335,7 @@ def load_cover(path) -> Cover:
         raise FormatError(f"node id {max_node} >= declared #nodes={n_nodes}")
     if max_comm >= n_comm:
         raise FormatError(f"community id {max_comm} >= declared #communities={n_comm}")
-    m = np.zeros((n_nodes, max(n_comm, 0)), dtype=np.uint8)
+    m = np.zeros((n_nodes, n_comm), dtype=np.uint8)
     m[np.repeat(nodes, [len(toks) for toks in comms]), comm_ids] = 1
     return Cover(memberships=m)
 

@@ -11,17 +11,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from . import parallel
 from .graph import Cover, Graph, SampledLabels, check_field_types
-from .parallel import row_blocks, run_row_blocks
 from .pseudo import pseudo_rows
 
 CLAMP_EPS = 1e-7
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 SPMM_BLOCK_NNZ = 1 << 16  # stored entries of P per row block of P @ Z
 
 
 class DegenerateProjectionError(ValueError):
-    """Q or K collapsed to the zero matrix, or its Frobenius norm is not
-    finite; Frobenius normalization undefined."""
+    """Q or K is zero or has a non-finite Frobenius norm, so it cannot be
+    normalized; or the attention normalizer vanished (one node, Q~ = -K~)."""
 
 
 @dataclass(frozen=True)
@@ -96,16 +97,16 @@ class RowBlockedCSR(sp.csr_matrix):
 
     Each block is a plain ``csr_matrix`` over views of this matrix's arrays,
     and its public product with the operand fills its rows of one output, so
-    the result equals the plain ``csr_matrix`` product bit for bit. A matrix
-    that is one block, every other operand and a wrong-shaped one go to
-    ``csr_matrix`` as they are.
+    the result equals the plain ``csr_matrix`` product bit for bit. A product
+    with fewer than two workers (one CPU or one block), every other operand
+    and a wrong-shaped one go to ``csr_matrix`` as they are.
     """
 
     def __matmul__(self, other):
         n_rows, n_cols = self.shape
-        bounds = row_blocks(self.indptr, SPMM_BLOCK_NNZ)
-        if not (type(other) is np.ndarray and other.ndim == 2
-                and other.shape[0] == n_cols and len(bounds) > 2):
+        bounds = parallel.row_blocks(self.indptr, SPMM_BLOCK_NNZ)
+        if not (type(other) is np.ndarray and other.ndim == 2 and other.shape[0] == n_cols
+                and min(parallel.cpu_count(), len(bounds) - 1) > 1):
             return super().__matmul__(other)
         out = np.empty((n_rows, other.shape[1]), dtype=np.result_type(self.dtype, other.dtype))
 
@@ -115,20 +116,17 @@ class RowBlockedCSR(sp.csr_matrix):
                                  shape=(r1 - r0, n_cols), copy=False)
             out[r0:r1] = rows @ other
 
-        run_row_blocks(block, bounds)
+        parallel.run_row_blocks(block, bounds)
         return out
 
 
 def gcn_norm(graph: Graph) -> RowBlockedCSR:
-    """Symmetrically normalized self-looped adjacency as a CSR matrix."""
-    n = graph.n_nodes
-    d_tilde = graph.degrees().astype(np.float64) + 1.0
-    inv_sqrt = 1.0 / np.sqrt(d_tilde)
-    src = np.repeat(np.arange(n), np.diff(graph.indptr))
-    rows = np.concatenate([src, np.arange(n)])
-    cols = np.concatenate([graph.indices, np.arange(n)])
-    vals = inv_sqrt[rows] * inv_sqrt[cols]
-    return RowBlockedCSR((vals, (rows, cols)), shape=(n, n))
+    """Symmetrically normalized self-looped adjacency D~^-1/2 (A + I) D~^-1/2."""
+    closed = graph.adjacency() + sp.eye_array(graph.n_nodes, dtype=np.int32, format="csr")
+    d_tilde = np.diff(closed.indptr)
+    inv_sqrt = 1.0 / np.sqrt(d_tilde.astype(np.float64))
+    vals = np.repeat(inv_sqrt, d_tilde) * inv_sqrt[closed.indices]
+    return RowBlockedCSR((vals, closed.indices, closed.indptr), shape=closed.shape)
 
 
 def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None) -> np.ndarray:
@@ -204,6 +202,8 @@ def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | N
     denom = q @ s  # diagonal of D
     denom /= n
     denom += 1.0
+    if not np.all(denom > 0.0):  # |Q~_i s| / N <= 1 / sqrt(N), so N is 1 here
+        raise DegenerateProjectionError("the attention normalizer 1 + Q~ K~^T 1 / N is 0")
     w_kv = k.T @ v  # h x h
     u = q @ w_kv
     u /= n
@@ -380,22 +380,21 @@ class AdamState:
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float,
-              beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float):
     """Bias-corrected Adam update of every weight at once, in place."""
     state.t += 1
     t = state.t
     g = grads.flat
-    state.m *= beta1
-    state.m += (1.0 - beta1) * g
-    g2 = (1.0 - beta2) * g
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * g
+    g2 = (1.0 - ADAM_BETA2) * g
     g2 *= g
-    state.v *= beta2
+    state.v *= ADAM_BETA2
     state.v += g2
-    m_hat = state.m / (1.0 - beta1**t)
-    v_hat = state.v / (1.0 - beta2**t)
+    m_hat = state.m / (1.0 - ADAM_BETA1**t)
+    v_hat = state.v / (1.0 - ADAM_BETA2**t)
     np.sqrt(v_hat, out=v_hat)
-    v_hat += eps
+    v_hat += ADAM_EPS
     m_hat *= lr
     m_hat /= v_hat
     params.flat -= m_hat

@@ -6,9 +6,11 @@ each take blocks run on separate CPUs. A block computes each row over the
 same entries in the same order as the whole product, so results are
 bit-identical whatever the worker count.
 
-One worker runs per CPU in the process's affinity mask (``taskset`` limits
-it): the calling thread plus count - 1 threads started for each call and
-joined before it returns, so no thread outlives a call.
+A call over b blocks has min(cpu_count(), b) workers, at most one per CPU in
+the process's affinity mask (``taskset`` limits it): the calling thread plus
+threads started for the call and joined before it returns, so no thread
+outlives a call. With one worker no thread starts. The clique scan keeps its
+blocks then, as they bound its memory; a product of P is SciPy's whole one.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 
 def cpu_count() -> int:
-    """Workers a blocked call uses: the CPUs this process may run on."""
+    """The CPUs this process may run on, each a worker of a blocked call."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -44,20 +46,13 @@ def row_blocks(cum_work, budget: int) -> list:
 def run_row_blocks(fn, bounds) -> None:
     """Call ``fn(r0, r1)`` once for every consecutive pair of ``bounds``.
 
-    The blocks must write disjoint outputs. With one block or one CPU they
-    run inline; otherwise the caller and ``min(cpu_count(), blocks) - 1``
-    threads started for this call take them in turn from one shared queue,
-    and every thread is joined before this returns. The first exception a
-    block raises is raised here once no block is running, and no block
-    starts after it.
+    The blocks must write disjoint outputs. The caller and
+    ``min(cpu_count(), blocks) - 1`` threads started for this call take them
+    in turn from one shared queue, and every thread is joined before this
+    returns. The first exception a block raises is raised here once no block
+    is running, and no block starts after it.
     """
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    workers = min(cpu_count(), len(spans))
-    if workers <= 1:
-        for r0, r1 in spans:
-            fn(r0, r1)
-        return
-    todo, lock, failed = iter(spans), threading.Lock(), []
+    todo, lock, failed = zip(bounds[:-1], bounds[1:]), threading.Lock(), []
 
     def drain():
         while True:
@@ -71,6 +66,7 @@ def run_row_blocks(fn, bounds) -> None:
                 with lock:
                     failed.append(exc)
 
+    workers = min(cpu_count(), len(bounds) - 1)
     threads = [threading.Thread(target=drain) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()

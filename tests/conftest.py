@@ -36,6 +36,8 @@ def rng():
 @pytest.fixture(params=[1, 2], ids=["1_worker", "2_workers"])
 def workers(request, monkeypatch):
     """Run the row-blocked kernels on this many workers whatever the machine
-    has: 1 takes the inline path, 2 the threaded one."""
+    has: with 1 no thread starts, the caller runs the clique scan's blocks and
+    ``P @ Z`` is SciPy's whole product; with 2 a second thread takes blocks of
+    both."""
     monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: request.param)
     return request.param

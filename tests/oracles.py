@@ -166,13 +166,16 @@ def graph_from_edges_naive(pairs, n_nodes):
     return Graph(indptr=indptr, indices=np.array(indices, dtype=np.int64))
 
 
-def _parse_header_loop(line, key):
+def _parse_header_loop(path, lineno, line, key):
     prefix = f"#{key}="
     if line.startswith(prefix):
         try:
-            return int(line[len(prefix):])
-        except ValueError as exc:
-            raise FormatError(f"bad header line: {line!r}") from exc
+            value = int(line[len(prefix):])
+        except ValueError:
+            value = -1
+        if value < 0:
+            raise FormatError(f"{path}:{lineno}: bad header line: {line!r}")
+        return value
     return None
 
 
@@ -187,7 +190,7 @@ def load_edge_list_loop(path):
             if not line:
                 continue
             if line.startswith("#"):
-                n = _parse_header_loop(line, "nodes")
+                n = _parse_header_loop(path, lineno, line, "nodes")
                 if n is not None:
                     declared_n = n
                 continue
@@ -221,10 +224,10 @@ def load_cover_loop(path):
             if not line:
                 continue
             if line.startswith("#"):
-                n = _parse_header_loop(line, "nodes")
+                n = _parse_header_loop(path, lineno, line, "nodes")
                 if n is not None:
                     declared_n = n
-                k = _parse_header_loop(line, "communities")
+                k = _parse_header_loop(path, lineno, line, "communities")
                 if k is not None:
                     declared_k = k
                 continue

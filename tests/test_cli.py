@@ -344,6 +344,20 @@ class TestExitCodes:
         assert run(argv) == 1
         self.assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("command, text, lineno", [
+        ("cliques", "#nodes=-1\n", 1), ("cliques", "0\t1\n#nodes=x\n", 2),
+        ("eval", "#communities=-2\n0: 0\n", 1)], ids=["nodes_-1", "nodes_x", "communities_-2"])
+    def test_bad_size_header(self, tmp_path, capsys, command, text, lineno):
+        # a size header that is negative or not an integer is a bad line, and
+        # the error names the file and the line like any other
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        argv = ["--edges", bad] if command == "cliques" else ["--pred", bad, "--truth", bad]
+        assert run([command, *argv]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert f"{bad}:{lineno}: bad header line" in err
+
     @pytest.mark.parametrize("command, bad", [
         ("cliques", "edges"), ("eval", "cover"), ("pseudo", "edges"), ("pseudo", "cover"),
         ("train", "edges"), ("train", "cover")])

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from wocd import Graph, identify_weak_cliques
-from wocd.cliques import _adjacency, _clique_incidence, _scores
+from wocd.cliques import _clique_incidence, _scores
 
 from conftest import graph_to_adj, random_graph
 from oracles import weak_cliques_reference
@@ -17,18 +17,23 @@ def path3():
     return Graph.from_edges([(0, 1), (1, 2)], 3)
 
 
+def graph_scores(graph):
+    deg = graph.degrees()
+    return _scores(graph.adjacency(), deg, np.repeat(np.arange(graph.n_nodes), deg))
+
+
 def node_priority(graph, u):
-    return _scores(_adjacency(graph))[0][u]
+    return graph_scores(graph)[0][u]
 
 
 def salton_index(graph, u, v):
-    adj = _adjacency(graph)
-    si = sp.csr_array((_scores(adj)[1], adj.indices, adj.indptr), shape=adj.shape)
+    adj = graph.adjacency()
+    si = sp.csr_array((graph_scores(graph)[1], adj.indices, adj.indptr), shape=adj.shape)
     return si[u, v]
 
 
 def weak_clique_members(graph, u, v):
-    inc = _clique_incidence(_adjacency(graph), np.array([u]), np.array([v]))
+    inc = _clique_incidence(graph.adjacency(), np.array([u]), np.array([v]))
     return inc.indices.tolist()
 
 

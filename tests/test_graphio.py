@@ -155,6 +155,7 @@ class TestEdgeListMatchesLoop:
         "-1\t2\n", "0\t1\n3\t-2\n", "#nodes=2\n1\t5\n", "0\t5\n#nodes=3\n",
         "#nodes=x\n0\t1\n", "0\t1\n#nodes=\n", "0\tx\n#nodes=x\n",
         "#nodes=x\n0\tx\n", "0\t1\r\n2\r\n", "0\t1\n  3  \n",
+        "#nodes=-1\n", "#nodes=3\n0\t1\n#nodes=-2\n",
     ])
     def test_rejects_with_same_message(self, tmp_path, text):
         _raises_like_loop(load_edge_list, load_edge_list_loop,
@@ -196,7 +197,7 @@ class TestCoverMatchesLoop:
         "0: 1\n0: 2\n", "0: 1\n1: 0\n0:\n", "#communities=2\n0: 5\n",
         "#nodes=2\n3: 1\n", "0: 1\n#communities=1\n", "#communities=a\n0: 1\n",
         "0: x\n#nodes=y\n", "#nodes=y\n0: x\n", "0: 1\r\n2 3\r\n",
-        "#nodes=-1\n", "#communities=-1\n",
+        "#nodes=-1\n", "#communities=-1\n", "#communities=-2\n", "0: 1\n#nodes=-3\n",
     ])
     def test_rejects_with_same_message(self, tmp_path, text):
         _raises_like_loop(load_cover, load_cover_loop, _write(tmp_path, "c.txt", text))

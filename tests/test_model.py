@@ -24,7 +24,7 @@ from wocd import (
     predict,
 )
 
-from wocd.model import param_layout
+from wocd.model import RowBlockedCSR, param_layout
 from wocd.parallel import row_blocks
 
 from conftest import random_cover, random_graph, random_sampled
@@ -35,6 +35,7 @@ from oracles import (
     loss_and_gradients_reference,
     predict_reference,
 )
+from test_parallel import _graphs
 
 
 def dense_adjacency(graph):
@@ -49,7 +50,29 @@ def empty_sampled(k):
                          rows=np.empty((0, k), dtype=np.uint8))
 
 
+def _gcn_norm_from_coo(graph):
+    """P built from the COO triplets of A and then I, which SciPy sorts into CSR."""
+    n = graph.n_nodes
+    inv_sqrt = 1.0 / np.sqrt(graph.degrees().astype(np.float64) + 1.0)
+    rows = np.concatenate([np.repeat(np.arange(n), graph.degrees()), np.arange(n)])
+    cols = np.concatenate([graph.indices, np.arange(n)])
+    return RowBlockedCSR((inv_sqrt[rows] * inv_sqrt[cols], (rows, cols)), shape=(n, n))
+
+
 class TestGcnNorm:
+    @pytest.mark.parametrize("name", [*_graphs(), "epoch_buffers"])
+    def test_equals_coo_construction_byte_for_byte(self, name):
+        if name == "epoch_buffers":  # the graph of TestEpochBuffers._instance
+            graph = Graph.from_edges(np.random.default_rng(21).integers(0, 2000, (16000, 2)), 2000)
+        else:
+            graph = _graphs()[name]
+        got, want = gcn_norm(graph), _gcn_norm_from_coo(graph)
+        assert type(got) is RowBlockedCSR and got.shape == want.shape
+        for attr in ("data", "indices", "indptr"):
+            a, b = getattr(got, attr), getattr(want, attr)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        assert got.has_canonical_format and want.has_canonical_format
+
     def test_isolated_node(self):
         p = gcn_norm(Graph.from_edges([], 1)).toarray()
         np.testing.assert_allclose(p, [[1.0]])
@@ -132,6 +155,14 @@ class TestGtForward:
         params.gt_q_w[:] = 0.0
         with pytest.raises(DegenerateProjectionError):
             gt_forward(params, rng.normal(size=(4, 3)), 0.5)
+
+    @pytest.mark.filterwarnings("error")  # 0 / 0 is reported, not warned about
+    def test_vanishing_normalizer(self):
+        # one node whose Q~ is -K~ (h = 1): both 1 + Q~ K~^T 1 / N and U are 0
+        params = init_params(2, 1, 1, seed=0)
+        params.gt_q_w[:] = -params.gt_k_w
+        with pytest.raises(DegenerateProjectionError, match="normalizer"):
+            gt_forward(params, np.array([[0.0, 1.0]]), 0.5)
 
     @pytest.mark.filterwarnings("error")  # the overflow is reported, not warned about
     def test_non_finite_projection(self, rng):
@@ -341,6 +372,16 @@ class TestEpochBuffers:
         # the output plus the block products in flight, one per worker;
         # stacking every block's rows before copying them out reads about 2
         assert self._peak_n_by_h(lambda: p @ z, x, params) <= 1.5
+
+    def test_peak_memory_of_one_worker_product(self, monkeypatch):
+        p, x, _, params, _, _ = self._instance()
+        monkeypatch.setattr(wocd.model, "SPMM_BLOCK_NNZ", 4096)
+        monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: 1)
+        assert len(row_blocks(p.indptr, 4096)) - 1 >= 8
+        z = np.random.default_rng(23).normal(size=(x.shape[0], params.dims[1]))
+        # one worker takes SciPy's whole product, which writes the output
+        # once; running the blocks in turn adds a block's copy, about 1.18
+        assert self._peak_n_by_h(lambda: p @ z, x, params) <= 1.05
 
     def test_inputs_untouched(self):
         p, x, px, params, sampled, pseudo = self._instance(n=300)

@@ -17,7 +17,7 @@ import wocd.cliques
 import wocd.model
 import wocd.parallel
 from wocd import Graph, gcn_norm, identify_weak_cliques, run_pipeline
-from wocd.cliques import _adjacency, _clique_blocks, _slot_common
+from wocd.cliques import _clique_blocks, _slot_common
 from wocd.parallel import row_blocks, run_row_blocks
 
 from conftest import graph_to_adj, random_graph
@@ -85,7 +85,7 @@ class TestRowBlocks:
         # whose product with A is then n x n
         n, budget = 300, 50
         monkeypatch.setattr(wocd.cliques, "CLIQUE_BLOCK_WORK", budget)
-        adj = _adjacency(Graph.from_edges([(0, v) for v in range(1, n)], n))
+        adj = Graph.from_edges([(0, v) for v in range(1, n)], n).adjacency()
         bounds = _clique_blocks(adj)
         assert len(bounds) - 1 == n
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
@@ -237,7 +237,7 @@ def test_slot_common_matches_clique_oracle(workers, many_blocks):
         adj = graph_to_adj(g)
         src = np.repeat(np.arange(n), g.degrees())
         want = [len(adj[u] & adj[v]) for u, v in zip(src.tolist(), g.indices.tolist())]
-        assert _slot_common(_adjacency(g)).tolist() == want
+        assert _slot_common(g.adjacency()).tolist() == want
         got = [(r.seed_u, r.seed_v, tuple(r.members.tolist()))
                for r in identify_weak_cliques(g).cliques]
         assert got == weak_cliques_reference(adj)
