@@ -86,14 +86,14 @@ def _scores(adj: sp.csr_array, deg: np.ndarray, src: np.ndarray) -> tuple:
     """Node priorities and the Salton index of every edge slot, in ``indices`` order.
 
     With ``deg`` the degrees and ``src`` each slot's row, a node of degree d
-    whose neighbors share m edges has priority (m + d) / (d + 1), or 0 when
-    isolated; edge (u, v) has Salton index |N(u) & N(v)| / sqrt(d_u * d_v).
+    whose neighbors share m edges has priority (m + d) / (d + 1), which is 0
+    when isolated; edge (u, v) has Salton index |N(u) & N(v)| / sqrt(d_u * d_v).
     """
     slot_common = _slot_common(adj)
     degrees = deg.astype(np.float64)
     m = np.bincount(src, weights=slot_common, minlength=deg.size) / 2.0
-    priority = np.where(degrees > 0, (m + degrees) / (degrees + 1.0), 0.0)
-    inv_sqrt_d = np.where(degrees > 0, 1.0 / np.sqrt(np.maximum(degrees, 1.0)), 0.0)
+    priority = (m + degrees) / (degrees + 1.0)
+    inv_sqrt_d = 1.0 / np.sqrt(np.maximum(degrees, 1.0))  # read only at edge slots
     return priority, slot_common * inv_sqrt_d[src] * inv_sqrt_d[adj.indices]
 
 
@@ -128,13 +128,12 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     # each node's partner is its first (smallest-id) most Salton-similar
     # neighbor; consumed neighbors stay eligible, so it is fixed up front
     partner = np.full(n, -1, dtype=np.int64)
-    if si.size:
-        linked = deg > 0  # reduceat mishandles the empty segments of isolated nodes
-        row_max = np.zeros(n)
-        row_max[linked] = np.maximum.reduceat(si, indptr[:-1][linked])
-        hits = np.flatnonzero(si == row_max[src])
-        rows, first = np.unique(src[hits], return_index=True)
-        partner[rows] = indices[hits[first]]
+    linked = deg > 0  # reduceat mishandles the empty segments of isolated nodes
+    row_max = np.zeros(n)
+    row_max[linked] = np.maximum.reduceat(si, indptr[:-1][linked])
+    hits = np.flatnonzero(si == row_max[src])
+    rows, first = np.unique(src[hits], return_index=True)
+    partner[rows] = indices[hits[first]]
 
     # priorities are fixed, so a single descending sort (smallest id first
     # among ties) enumerates argmax picks; isolated nodes emit nothing

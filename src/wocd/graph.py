@@ -174,17 +174,6 @@ _INT = re.compile(r"[+-]?[0-9]+")  # an id: what np.loadtxt reads as int64
 _NOT_ID = re.compile(r"[^0-9+\-:\s]")  # a character no valid cover line has
 
 
-def _parse_header(line: str, key: str):
-    """The size N >= 0 of a '#key=N' line, None for any other line."""
-    prefix = f"#{key}="
-    if not line.startswith(prefix):
-        return None
-    with contextlib.suppress(ValueError):
-        if (value := int(line[len(prefix):])) >= 0:
-            return value
-    raise FormatError(f"bad header line: {line!r}")
-
-
 def _read_text(path) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -216,14 +205,19 @@ def _split_comments(text: str):
 
 
 def _header_values(comments, *keys) -> list:
-    """The last value declared for each key, None where undeclared."""
-    values = [None] * len(keys)
+    """The last size N >= 0 that a '#key=N' line declares for each key, None
+    where undeclared; a '#key=' line of a wanted key without such a size is
+    an error."""
+    values = dict.fromkeys(keys)
     for line in comments:
-        for i, key in enumerate(keys):
-            value = _parse_header(line, key)
-            if value is not None:
-                values[i] = value
-    return values
+        key, sep, text = line[1:].partition("=")
+        if sep and key in values:
+            with contextlib.suppress(ValueError):
+                if (value := int(text)) >= 0:
+                    values[key] = value
+                    continue
+            raise FormatError(f"bad header line: {line!r}")
+    return list(values.values())
 
 
 def _data_lines(path, text: str, keys):
@@ -373,7 +367,7 @@ def load_features(path, header: bool = False) -> np.ndarray:
         raise FormatError(f"{path}: {exc}") from None
     if not np.all(np.isfinite(X)):
         raise FormatError(f"{path}: non-finite feature value")
-    return X.astype(np.float64)
+    return X
 
 
 def write_features(X: np.ndarray, path) -> None:
@@ -390,11 +384,9 @@ def synth_graph(config: SynthConfig):
     rng = np.random.default_rng(config.seed)
     n, k = config.n_nodes, config.n_communities
     bounds = [(i * n) // k for i in range(k + 1)]
+    primary = np.repeat(np.arange(k), np.diff(bounds))
     memb = np.zeros((n, k), dtype=np.uint8)
-    primary = np.zeros(n, dtype=np.int64)
-    for c in range(k):
-        memb[bounds[c]:bounds[c + 1], c] = 1
-        primary[bounds[c]:bounds[c + 1]] = c
+    memb[np.arange(n), primary] = 1
 
     n_overlap = int(round(config.overlap_fraction * n))
     if n_overlap > 0 and k > 1:
@@ -426,12 +418,9 @@ def synth_graph(config: SynthConfig):
         edges.append(np.stack([rows[i], j], axis=1))
     graph = Graph.from_edges(np.concatenate(edges), n)
 
-    d = k * config.dims_per_community
-    prob_x = np.full((n, d), config.feature_noise)
-    for c in range(k):
-        cols = slice(c * config.dims_per_community, (c + 1) * config.dims_per_community)
-        prob_x[memb[:, c] == 1, cols] = config.feature_signal
-    X = (rng.random((n, d)) < prob_x).astype(np.float64)
+    in_block = np.repeat(memb, config.dims_per_community, axis=1) == 1
+    prob_x = np.where(in_block, config.feature_signal, config.feature_noise)
+    X = (rng.random(prob_x.shape) < prob_x).astype(np.float64)
     return graph, X, cover
 
 
@@ -444,13 +433,8 @@ def sample_labels(cover: Cover, rho: float, seed: int) -> SampledLabels:
     if not (0.0 <= rho <= 1.0):
         raise ValueError("rho must be in [0, 1]")
     n, k = cover.n_nodes, cover.n_communities
-    if rho == 0.0 or k == 0:
-        return SampledLabels(
-            node_ids=np.empty(0, dtype=np.int64),
-            rows=np.empty((0, k), dtype=np.uint8),
-        )
     rng = np.random.default_rng(seed)
-    quota = math.ceil(rho * n / k)
+    quota = math.ceil(rho * n / k) if k else 0
     picked = set()
     for c in range(k):
         members = cover.members(c)

@@ -51,10 +51,8 @@ def _conditional_norm(n11: np.ndarray, size_a: np.ndarray, size_b: np.ndarray,
     best = np.minimum(h_a, np.where(admitted, joint - h_b, np.inf).min(axis=1))
     # a sequential sum, not np.sum's pairwise one, keeps the float reproducible
     # against the per-pair definition
-    total = 0.0
-    for best_i, h_ai in zip(best.tolist(), h_a.tolist()):
-        if h_ai > 0:
-            total += best_i / h_ai
+    ratios = best[h_a > 0] / h_a[h_a > 0]
+    total = np.add.accumulate(ratios)[-1] if ratios.size else 0.0
     return total / size_a.size
 
 

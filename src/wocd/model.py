@@ -98,16 +98,16 @@ class RowBlockedCSR(sp.csr_matrix):
     Each block is a plain ``csr_matrix`` over views of this matrix's arrays,
     and its public product with the operand fills its rows of one output, so
     the result equals the plain ``csr_matrix`` product bit for bit. A product
-    with fewer than two workers (one CPU or one block), every other operand
-    and a wrong-shaped one go to ``csr_matrix`` as they are.
+    on one CPU or with a matrix of one block (at most SPMM_BLOCK_NNZ entries),
+    every other operand and a wrong-shaped one go to ``csr_matrix`` as they are.
     """
 
     def __matmul__(self, other):
         n_rows, n_cols = self.shape
-        bounds = parallel.row_blocks(self.indptr, SPMM_BLOCK_NNZ)
         if not (type(other) is np.ndarray and other.ndim == 2 and other.shape[0] == n_cols
-                and min(parallel.cpu_count(), len(bounds) - 1) > 1):
+                and self.nnz > SPMM_BLOCK_NNZ and parallel.cpu_count() > 1):
             return super().__matmul__(other)
+        bounds = parallel.row_blocks(self.indptr, SPMM_BLOCK_NNZ)
         out = np.empty((n_rows, other.shape[1]), dtype=np.result_type(self.dtype, other.dtype))
 
         def block(r0, r1):

@@ -145,6 +145,7 @@ class TestEdgeListMatchesLoop:
         "#communities=x\n0\t1\n",  # not a header of edge lists
         "0\t0\n1\t1\n#nodes=3\n", "+1\t2\n-0\t2\n007\t3\n",
         "0\xa01\n", "#nodes=2\n",
+        "#nodes=+3\n0\t1\n", "# nodes=3\n0\t1\n", "#nodes\n0\t1\n", "#nodes3\n0\t1\n",
     ])
     def test_accepts(self, tmp_path, text):
         _loads_like_loop(load_edge_list, load_edge_list_loop, _write(tmp_path, "e.tsv", text))
@@ -156,6 +157,7 @@ class TestEdgeListMatchesLoop:
         "#nodes=x\n0\t1\n", "0\t1\n#nodes=\n", "0\tx\n#nodes=x\n",
         "#nodes=x\n0\tx\n", "0\t1\r\n2\r\n", "0\t1\n  3  \n",
         "#nodes=-1\n", "#nodes=3\n0\t1\n#nodes=-2\n",
+        "#nodes==3\n0\t1\n", "#nodes=3=4\n0\t1\n",
     ])
     def test_rejects_with_same_message(self, tmp_path, text):
         _raises_like_loop(load_edge_list, load_edge_list_loop,
@@ -187,6 +189,8 @@ class TestCoverMatchesLoop:
         "0: 1\n# mid-file\n  #indented\n1: 0\n",
         "#nodes=2\n#communities=9\n0: 1\n#nodes=5\n#communities=3\n",
         "0: 1 1 2\n", "+1: +2\n-0: 0\n",
+        "#nodes=+3\n0: 1\n", "# nodes=3\n0: 1\n", "#communities\n0: 1\n",
+        "#nodes=2\n#communities=+4\n#community=1\n0: 3\n",
     ])
     def test_accepts(self, tmp_path, text):
         _loads_like_loop(load_cover, load_cover_loop, _write(tmp_path, "c.txt", text))
@@ -198,6 +202,7 @@ class TestCoverMatchesLoop:
         "#nodes=2\n3: 1\n", "0: 1\n#communities=1\n", "#communities=a\n0: 1\n",
         "0: x\n#nodes=y\n", "#nodes=y\n0: x\n", "0: 1\r\n2 3\r\n",
         "#nodes=-1\n", "#communities=-1\n", "#communities=-2\n", "0: 1\n#nodes=-3\n",
+        "#nodes==3\n0: 1\n", "#nodes=3=4\n0: 1\n", "0: 1\n#communities==2\n",
     ])
     def test_rejects_with_same_message(self, tmp_path, text):
         _raises_like_loop(load_cover, load_cover_loop, _write(tmp_path, "c.txt", text))
@@ -222,6 +227,7 @@ class TestFeatures:
         path = tmp_path / "x.csv"
         write_features(x, path)
         x2 = load_features(path)
+        assert x2.dtype == np.float64
         np.testing.assert_allclose(x2, x, rtol=1e-9)
 
     def test_non_finite_rejected(self, tmp_path):
@@ -307,10 +313,22 @@ class TestSynth:
         (dict(n_nodes=2100, n_communities=2, overlap_fraction=1.0, p_in=0.05,
               dims_per_community=1, seed=5), 110091,
          "dc1e3ea27718483561b49cf0cbdd41b39323f2d4bd89be0bd7dc6b259a50646c"),
-    ], ids=["n60", "n500", "n1500_blocks", "n2100_all_overlap"])
+        # K not dividing N, K > N (empty primary communities) and
+        # primary-only edge probabilities, as the per-community loops made them
+        (dict(n_nodes=103, n_communities=7, overlap_fraction=0.3, dims_per_community=2,
+              seed=2), 106,
+         "54c773af2b0d5f7bf1b516d27783468f12e81e8a0cc9d415283b024ca776a14d"),
+        (dict(n_nodes=7, n_communities=9, overlap_fraction=0.4, p_in=0.9, p_out=0.2,
+              dims_per_community=2, seed=1), 6,
+         "1b0363c116591c3041ba25c81749b53bf591ba133cf59630ad4c01aa4c50e7e2"),
+        (dict(n_nodes=301, n_communities=4, overlap_fraction=0.5, overlap_edges=False,
+              seed=3), 1043,
+         "98971e7f2155e3d8f884d43c5807c5989b688160d068a778f95f4eaee04c3bf4"),
+    ], ids=["n60", "n500", "n1500_blocks", "n2100_all_overlap", "n_not_multiple_of_k",
+            "k_above_n", "primary_edges_only"])
     def test_overlap_edges_outputs_pinned(self, kwargs, n_edges, digest):
         # sha256 of graph, features and cover as the int64 shared-community
-        # product generated them; overlap_edges is True by default
+        # product generated them; overlap_edges is True unless given
         g, x, c = synth_graph(SynthConfig(**kwargs))
         h = hashlib.sha256()
         for a in (g.indptr, g.indices, x, c.memberships):
@@ -318,6 +336,14 @@ class TestSynth:
             h.update(np.ascontiguousarray(a).tobytes())
         assert g.n_edges == n_edges
         assert h.hexdigest() == digest
+
+    def test_integer_feature_probabilities(self):
+        # an int is a valid float field; it must not make the probabilities integral
+        _, x_int, _ = synth_graph(SynthConfig(n_nodes=50, n_communities=3, feature_noise=0))
+        _, x, _ = synth_graph(SynthConfig(n_nodes=50, n_communities=3, feature_noise=0.0))
+        assert x_int.any()
+        assert np.array_equal(x_int, x)
+
 
 
 class TestSampleLabels:
@@ -331,6 +357,14 @@ class TestSampleLabels:
     def test_rho_zero(self, rng):
         s = sample_labels(random_cover(rng, 10, 3), 0.0, seed=0)
         assert s.n_sampled == 0
+        assert s.node_ids.dtype == np.int64 and s.node_ids.shape == (0,)
+        assert s.rows.dtype == np.uint8 and s.rows.shape == (0, 3)
+
+    def test_no_communities(self):
+        s = sample_labels(Cover(memberships=np.zeros((7, 0), dtype=np.uint8)), 0.3, seed=0)
+        assert s.n_sampled == 0
+        assert s.node_ids.dtype == np.int64 and s.node_ids.shape == (0,)
+        assert s.rows.dtype == np.uint8 and s.rows.shape == (0, 0)
 
     def test_determinism_and_subset(self, rng):
         c = random_cover(rng, 40, 4)
