@@ -138,7 +138,7 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     # priorities are fixed, so a single descending sort (smallest id first
     # among ties) enumerates argmax picks; isolated nodes emit nothing
     order = np.lexsort((np.arange(n), -priority))
-    remaining = (deg > 0).tolist()
+    remaining = linked.tolist()
     partner_of = partner.tolist()
     seeds = []
     for u in order.tolist():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import math
 import numbers
 import re
@@ -244,8 +243,11 @@ def _edge_list_error(path, text: str) -> FormatError:
             return FormatError(f"{path}:{lineno}: expected 'u\\tv', got {line!r}")
         if not all(_INT.fullmatch(tok) for tok in parts):
             return FormatError(f"{path}:{lineno}: non-integer node id")
-        if min(int(tok) for tok in parts) < 0:
+        ids = [int(tok) for tok in parts]
+        if min(ids) < 0:
             return FormatError(f"{path}:{lineno}: negative node id")
+        if max(ids) > np.iinfo(np.int64).max:
+            return FormatError(f"{path}:{lineno}: node id out of int64 range")
     return FormatError(f"{path}: malformed edge list")
 
 
@@ -295,6 +297,8 @@ def _cover_error(path, text: str) -> FormatError:
         ids = [int(tok) for tok in tokens]
         if min(ids) < 0:
             return FormatError(f"{path}:{lineno}: negative id")
+        if max(ids) > np.iinfo(np.int64).max:
+            return FormatError(f"{path}:{lineno}: id out of int64 range")
         if ids[0] in seen:
             return FormatError(f"{path}:{lineno}: duplicate node line for {ids[0]}")
         seen.add(ids[0])
@@ -338,31 +342,21 @@ def write_cover(cover: Cover, path) -> None:
     n, k = cover.memberships.shape
     nodes, comms = np.nonzero(cover.memberships)  # row-major: ascending per node
     # one cell per node ("\nv:") followed by one per membership (" c")
-    cells = np.empty(n + nodes.size, dtype=object)
-    is_head = np.zeros(cells.size, dtype=bool)
-    is_head[np.arange(n) + np.searchsorted(nodes, np.arange(n))] = True
-    cells[is_head] = np.array([f"\n{v}:" for v in range(n)], dtype=object)
-    cells[~is_head] = np.array([f" {c}" for c in range(k)], dtype=object)[comms]
+    cells = np.insert(np.array([f" {c}" for c in range(k)], dtype=object)[comms],
+                      np.searchsorted(nodes, np.arange(n)),
+                      np.array([f"\n{v}:" for v in range(n)], dtype=object))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"#nodes={n}\n#communities={k}" + "".join(cells.tolist()) + "\n")
-
-
-def _has_data_line(path, skip: int) -> bool:
-    """Whether a line after the first ``skip`` is one np.loadtxt reads: not
-    blank and not a '#' comment. Reads only up to the first such line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return any(line.strip() and not line.lstrip().startswith("#")
-                   for line in itertools.islice(fh, skip, None))
 
 
 def load_features(path, header: bool = False) -> np.ndarray:
     """Comma-separated rows, one per node; a file without data rows gives a
     0 x 0 matrix."""
-    skip = 1 if header else 0
+    lines = _read_text(path).split("\n")[1 if header else 0:]
+    if not any(line.strip() and not line.lstrip().startswith("#") for line in lines):
+        return np.empty((0, 0))  # np.loadtxt warns on input without data
     try:
-        if not _has_data_line(path, skip):  # np.loadtxt warns on input without data
-            return np.empty((0, 0))
-        X = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        X = np.loadtxt(lines, delimiter=",", ndmin=2)
     except ValueError as exc:  # a cell that is not a number, or a ragged row
         raise FormatError(f"{path}: {exc}") from None
     if not np.all(np.isfinite(X)):
@@ -387,6 +381,7 @@ def synth_graph(config: SynthConfig):
     primary = np.repeat(np.arange(k), np.diff(bounds))
     memb = np.zeros((n, k), dtype=np.uint8)
     memb[np.arange(n), primary] = 1
+    primary_memb = memb.copy()  # what edges see when overlap_edges is off
 
     n_overlap = int(round(config.overlap_fraction * n))
     if n_overlap > 0 and k > 1:
@@ -402,17 +397,13 @@ def synth_graph(config: SynthConfig):
     nodes = np.arange(n)
     # shared-community counts as a float32 product, which runs through BLAS;
     # a node has at most two communities, so every count (<= 2) is exact
-    memb_f = memb.astype(np.float32)
+    memb_f = (memb if config.overlap_edges else primary_memb).astype(np.float32)
     memb_t = memb_f.T.copy()
     edges = []
     step = max(1, SYNTH_BLOCK // n)
     for start in range(0, n, step):
         rows = nodes[start:start + step]
-        if config.overlap_edges:
-            share = (memb_f[rows] @ memb_t) > 0
-        else:
-            share = primary[rows, None] == primary[None, :]
-        prob = np.where(share, config.p_in, config.p_out)
+        prob = np.where((memb_f[rows] @ memb_t) > 0, config.p_in, config.p_out)
         keep = (rng.random((rows.size, n)) < prob) & (nodes > rows[:, None])
         i, j = np.nonzero(keep)
         edges.append(np.stack([rows[i], j], axis=1))

@@ -84,8 +84,7 @@ def init_params(d: int, h: int, k: int, seed: int, activate_final: bool = False)
         raise ValueError("dimensions must be positive")
     rng = np.random.default_rng(seed)
     params = ModelParams((d, h, k), activate_final)
-    for w in (params.input_proj_w, *params.gcn_w, params.gt_q_w, params.gt_k_w,
-              params.gt_v_w, params.head_w):
+    for w in (a for _, a in params.named_arrays() if a.ndim == 2):
         bound = 1.0 / np.sqrt(w.shape[0])
         w[:] = rng.uniform(-bound, bound, size=w.shape)
     return params
@@ -284,12 +283,9 @@ def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
 
 
 def _sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # exp(-|x|) cannot overflow, and -|x| is exactly x where x < 0
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
 
 
 def predict(params: ModelParams, fusion: FusionParams, p_mat, x: np.ndarray,
@@ -334,7 +330,8 @@ def _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2):
     val1, g1 = _bce_term(c_pred[sampled.node_ids], sampled.rows)
     d_pred[sampled.node_ids] += lam1 * g1
     total = lam1 * val1
-    if lam2 != 0.0 and pseudo is not None and (rows := pseudo_rows(pseudo, sampled)).size:
+    if pseudo is not None:
+        rows = pseudo_rows(pseudo, sampled)
         val2, g2 = _bce_term(c_pred[rows], pseudo.memberships[rows])
         d_pred[rows] += lam2 * g2
         total += lam2 * val2

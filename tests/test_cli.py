@@ -136,6 +136,19 @@ class TestTrain:
         assert report["config"]["lam2"] == 0.0
         assert report["config"]["epochs_initial"] == 10
 
+    def test_features_header(self, synth_dir, tmp_path):
+        headed = tmp_path / "features.csv"
+        headed.write_text("a header row\n" + (synth_dir / "features.csv").read_text())
+        covers = []
+        for i, (features, extra) in enumerate([(synth_dir / "features.csv", []),
+                                               (headed, ["--features-header"])]):
+            assert run(["train", "--edges", synth_dir / "edges.tsv", "--features", features,
+                        "--cover", synth_dir / "cover.txt", "--epochs-initial", 2,
+                        "--epochs-refined", 2, "--hidden", 8, "--out", tmp_path / f"run{i}",
+                        *extra]) == 0
+            covers.append((tmp_path / f"run{i}" / "c_final.txt").read_bytes())
+        assert covers[0] == covers[1]
+
     def test_missing_file_exit_code(self, synth_dir, tmp_path):
         assert run(["train", "--edges", tmp_path / "nope.tsv",
                     "--features", synth_dir / "features.csv",
@@ -360,15 +373,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command, bad", [
         ("cliques", "edges"), ("eval", "cover"), ("pseudo", "edges"), ("pseudo", "cover"),
-        ("train", "edges"), ("train", "cover")])
+        ("train", "edges"), ("train", "cover"), ("train", "features")])
     def test_non_utf8_input(self, synth_dir, tmp_path, capsys, command, bad):
-        files = {"edges": synth_dir / "edges.tsv", "cover": synth_dir / "cover.txt"}
+        files = {"edges": synth_dir / "edges.tsv", "cover": synth_dir / "cover.txt",
+                 "features": synth_dir / "features.csv"}
         files[bad] = tmp_path / f"{bad}.txt"
-        files[bad].write_bytes(b"0\t1\n\xff\xfe\t2\n" if bad == "edges" else b"0: 0\n\xff: 1\n")
+        files[bad].write_bytes({"edges": b"0\t1\n\xff\xfe\t2\n", "cover": b"0: 0\n\xff: 1\n",
+                                "features": b"0,1\n\xff\xfe,2\n"}[bad])
         argv = {"cliques": ["--edges", files["edges"]],
                 "eval": ["--pred", files["cover"], "--truth", synth_dir / "cover.txt"],
                 "pseudo": ["--edges", files["edges"], "--cover", files["cover"], "--rho", 0.2],
-                "train": ["--edges", files["edges"], "--features", synth_dir / "features.csv",
+                "train": ["--edges", files["edges"], "--features", files["features"],
                           "--cover", files["cover"], "--epochs-initial", 1,
                           "--epochs-refined", 1, "--hidden", 4]}[command]
         out = [] if command == "eval" else ["--out", tmp_path / "out"]

@@ -58,6 +58,13 @@ class TestEdgeList:
         with pytest.raises(FormatError):
             load_edge_list(_write(tmp_path, "e.tsv", "#nodes=2\n1\t5\n"))
 
+    @pytest.mark.parametrize("line", ["0\t99999999999999999999", "99999999999999999999\t1",
+                                      "0\t9223372036854775808"],
+                             ids=["second", "first", "max_plus_one"])
+    def test_id_past_int64_names_its_line(self, tmp_path, line):
+        with pytest.raises(FormatError, match=r"e\.tsv:3: node id out of int64 range$"):
+            load_edge_list(_write(tmp_path, "e.tsv", f"#nodes=2\n0\t1\n{line}\n"))
+
     @pytest.mark.parametrize("n", [3037000500, 2**63])
     def test_node_count_past_int64_keys(self, n):
         # 3037000500**2 > 2**63 - 1: the edge keys src * N + dst would wrap
@@ -103,6 +110,24 @@ class TestCover:
     def test_community_beyond_declared(self, tmp_path):
         with pytest.raises(FormatError):
             load_cover(_write(tmp_path, "c.txt", "#communities=2\n0: 5\n"))
+
+    @pytest.mark.parametrize("line", ["1: 99999999999999999999", "99999999999999999999: 1",
+                                      "1: 0 9223372036854775808"],
+                             ids=["community", "node", "max_plus_one"])
+    def test_id_past_int64_names_its_line(self, tmp_path, line):
+        with pytest.raises(FormatError, match=r"c\.txt:3: id out of int64 range$"):
+            load_cover(_write(tmp_path, "c.txt", f"#communities=2\n0: 1\n{line}\n"))
+
+    @pytest.mark.parametrize("memberships, text", [
+        (np.zeros((0, 3)), "#nodes=0\n#communities=3\n"),
+        (np.zeros((2, 0)), "#nodes=2\n#communities=0\n0:\n1:\n"),
+        ([[0, 0, 0], [1, 0, 1], [0, 0, 0], [0, 1, 0], [0, 0, 0]],
+         "#nodes=5\n#communities=3\n0:\n1: 0 2\n2:\n3: 1\n4:\n"),
+    ], ids=["no_nodes", "no_communities", "empty_rows"])
+    def test_written_text(self, tmp_path, memberships, text):
+        path = tmp_path / "c.txt"
+        write_cover(Cover(memberships=np.asarray(memberships, dtype=np.uint8)), path)
+        assert path.read_bytes() == text.encode()
 
     def test_round_trip(self, tmp_path, rng):
         c = random_cover(rng, 12, 5)
@@ -229,6 +254,15 @@ class TestFeatures:
         x2 = load_features(path)
         assert x2.dtype == np.float64
         np.testing.assert_allclose(x2, x, rtol=1e-9)
+
+    def test_header_comment_blank_and_crlf(self, tmp_path, rng):
+        path = tmp_path / "x.csv"
+        write_features(rng.normal(size=(6, 4)), path)
+        rows = path.read_text().splitlines()
+        text = "\r\n".join(["a,b,c,d", "# a comment", *rows[:3], "", *rows[3:]]) + "\r\n"
+        (tmp_path / "h.csv").write_bytes(text.encode())
+        got = load_features(tmp_path / "h.csv", header=True)
+        assert got.tobytes() == load_features(path).tobytes()
 
     def test_non_finite_rejected(self, tmp_path):
         (tmp_path / "x.csv").write_text("1.0,nan\n0.0,2.0\n")

@@ -1,5 +1,6 @@
 """wocd reaches NumPy and SciPy only through their public modules and names,
-so a release that renames a private one cannot break it."""
+so a release that renames a private one cannot break it; and each wocd module
+reads every name it imports, so a deletion leaves no import behind."""
 
 import ast
 from pathlib import Path
@@ -42,3 +43,36 @@ def test_private_import_is_caught(tmp_path):
     assert _private_uses(probe) == [(2, "scipy.sparse._sparsetools"),
                                     (3, "numpy._core.multiarray"),
                                     (4, "scipy._lib.util")]
+
+
+def _unread_imports(path: Path) -> list:
+    """(line, name) of every name that ``path`` imports and never reads.
+
+    A read is an ``ast.Name``; walking the tree reaches the base name of
+    every attribute chain too. ``from __future__`` imports are directives.
+    """
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_src_reads_every_import():
+    # __init__.py imports to re-export, so its names are read by callers
+    files = sorted(p for p in Path(wocd.__file__).parent.glob("*.py") if p.name != "__init__.py")
+    assert len(files) > 1
+    found = {f.name: unread for f in files if (unread := _unread_imports(f))}
+    assert found == {}
+
+
+def test_unread_import_is_caught(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\nimport itertools\nimport numpy as np\n"
+                     "import scipy.sparse\nimport os.path\nfrom .graph import Graph, _read_text\n"
+                     "x = np.zeros(1)\ny = scipy.sparse.eye_array(1)\ng: Graph\n")
+    assert _unread_imports(probe) == [(2, "itertools"), (5, "os"), (6, "_read_text")]

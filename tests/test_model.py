@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -24,13 +25,14 @@ from wocd import (
     predict,
 )
 
-from wocd.model import RowBlockedCSR, param_layout
+from wocd.model import RowBlockedCSR, _loss_with_pred_grad, _sigmoid, param_layout
 from wocd.parallel import row_blocks
 
 from conftest import random_cover, random_graph, random_sampled
 from oracles import (
     finite_difference_grads,
     gcn_dense_reference,
+    _sigmoid_reference,
     gt_quadratic_reference,
     loss_and_gradients_reference,
     predict_reference,
@@ -204,6 +206,14 @@ class TestPredict:
         want = 1.0 / (1.0 + np.exp(-logits))
         assert np.max(np.abs(got - want)) <= 1e-8
 
+    def test_sigmoid_matches_masked_reference(self, rng):
+        # one exp(-|x|) for both signs gives the bytes of the two masked branches
+        special = np.array([0.0, -0.0, 800.0, -800.0, np.inf, -np.inf])
+        for x in (special, rng.normal(size=(50, 4)) * 5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert _sigmoid(x).tobytes() == _sigmoid_reference(x).tobytes()
+
     def test_permutation_equivariance(self, rng):
         n = 9
         g = random_graph(rng, n, 0.4)
@@ -248,6 +258,14 @@ class TestLoss:
         pred = rng.random((10, 3)) * 0.9 + 0.05
         zero = Cover(memberships=np.zeros((10, 3), dtype=np.uint8))
         assert loss(pred, sampled, zero, 1.0, 5.0) == loss(pred, sampled, None, 1.0, 0.0)
+
+    def test_lambda2_zero_adds_exact_zeros(self, rng):
+        cover = random_cover(rng, 10, 3)
+        sampled = random_sampled(rng, cover, 4)
+        pred = rng.random((10, 3)) * 0.9 + 0.05
+        value, grad = _loss_with_pred_grad(pred, sampled, random_cover(rng, 10, 3), 1.0, 0.0)
+        want_value, want_grad = _loss_with_pred_grad(pred, sampled, None, 1.0, 0.0)
+        assert value == want_value and grad.tobytes() == want_grad.tobytes()
 
     def test_lambda2_ignores_sampled_rows(self, rng):
         # pseudo labels on sampled nodes must not enter the second term
