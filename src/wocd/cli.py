@@ -84,11 +84,11 @@ def _add_config_flag(p: argparse.ArgumentParser, flag: str, **settings) -> None:
 def _build_config(args) -> TrainConfig:
     """The ``--config`` file, if any, with every flag that was set applied
     over it; the file's values are checked first, on their own."""
-    plain = TrainConfig().to_dict()
+    plain = asdict(TrainConfig())
     if getattr(args, "config", None):
         with open(args.config, "r", encoding="utf-8") as fh:
             try:
-                plain = TrainConfig.from_dict(json.load(fh)).to_dict()
+                plain = asdict(TrainConfig.from_dict(json.load(fh)))
             except (TypeError, ValueError) as exc:  # not JSON, a bad key or a bad value
                 raise FormatError(f"config {args.config}: {exc}") from None
     for _, key in CONFIG_FLAGS.values():
@@ -180,7 +180,7 @@ def cmd_train(args) -> int:
     artifacts: dict = {}
     report = run_pipeline(graph, x, cover, config, artifacts=artifacts)
     write_cover(artifacts["c_final"], out / "c_final.txt")
-    _write_json(out / "report.json", {**report.to_dict(), "config": config.to_dict()})
+    _write_json(out / "report.json", {**asdict(report), "config": asdict(config)})
     print(f"onmi={report.onmi:.6f} n_pseudo_initial={report.n_pseudo_initial} "
           f"n_pseudo_refined={report.n_pseudo_refined}")
     return 0
@@ -214,7 +214,7 @@ def cmd_ablate(args) -> int:
                [[rho, vals.size, f"{100 * vals.mean():.1f}", f"{100 * vals.std():.1f}"]
                 for rho, vals in zip(args.rhos, onmis)])
     _write_json(out / "sweep.json",
-                [{"rho": rho, "seed": seed, **rep.to_dict()} for rho, seed, rep in rows])
+                [{"rho": rho, "seed": seed, **asdict(rep)} for rho, seed, rep in rows])
     return 0
 
 

@@ -62,11 +62,6 @@ class Graph:
     def neighbors(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u] : self.indptr[u + 1]]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nu = self.neighbors(u)
-        i = np.searchsorted(nu, v)
-        return i < nu.size and nu[i] == v
-
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
 
@@ -221,7 +216,7 @@ def _header_values(comments, *keys) -> list:
 
 def _data_lines(path, text: str, keys):
     """(line number, stripped line) of every data line, checking each
-    header on the way. Only the error paths of the parsers scan lines."""
+    header on the way; edge lists and covers scan lines only for an error."""
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line:
@@ -350,18 +345,25 @@ def write_cover(cover: Cover, path) -> None:
 
 
 def load_features(path, header: bool = False) -> np.ndarray:
-    """Comma-separated rows, one per node; a file without data rows gives a
-    0 x 0 matrix."""
-    lines = _read_text(path).split("\n")[1 if header else 0:]
-    if not any(line.strip() and not line.lstrip().startswith("#") for line in lines):
+    """Comma-separated rows, one per node, after the header line if asked;
+    blank and '#' lines are skipped. No data rows give a 0 x 0 matrix."""
+    rows = [(lineno, line) for lineno, line in _data_lines(path, _read_text(path), ())
+            if not (header and lineno == 1)]
+    if not rows:
         return np.empty((0, 0))  # np.loadtxt warns on input without data
-    try:
-        X = np.loadtxt(lines, delimiter=",", ndmin=2)
-    except ValueError as exc:  # a cell that is not a number, or a ragged row
-        raise FormatError(f"{path}: {exc}") from None
-    if not np.all(np.isfinite(X)):
-        raise FormatError(f"{path}: non-finite feature value")
-    return X
+    with contextlib.suppress(ValueError):  # a cell that is not a number, or a ragged row
+        X = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2)
+        if np.all(np.isfinite(X)):
+            return X
+    # name the first line that np.loadtxt rejects alone or that differs in width
+    width = len(rows[0][1].partition("#")[0].split(","))  # np.loadtxt drops a '#' comment
+    for lineno, line in rows:
+        with contextlib.suppress(ValueError):
+            row = np.loadtxt([line], delimiter=",", ndmin=1)
+            if row.size == width and np.all(np.isfinite(row)):
+                continue
+        raise FormatError(f"{path}:{lineno}: expected {width} finite numbers, got {line!r}")
+    raise FormatError(f"{path}: malformed features")
 
 
 def write_features(X: np.ndarray, path) -> None:
@@ -433,4 +435,4 @@ def sample_labels(cover: Cover, rho: float, seed: int) -> SampledLabels:
         if take > 0:
             picked.update(rng.choice(members, size=take, replace=False).tolist())
     node_ids = np.array(sorted(picked), dtype=np.int64)
-    return SampledLabels(node_ids=node_ids, rows=cover.memberships[node_ids].copy())
+    return SampledLabels(node_ids=node_ids, rows=cover.memberships[node_ids])

@@ -57,12 +57,12 @@ class ModelParams:
     out in ``param_layout`` order, so writing a view writes ``flat``.
     """
 
-    def __init__(self, dims: tuple, activate_final: bool = False, flat=None):
+    def __init__(self, dims: tuple, activate_final: bool = False):
         self.dims = tuple(dims)  # (D, h, K)
         self.activate_final = activate_final  # rectify the last GCN layer too
         layout = param_layout(*self.dims)
         sizes = [int(np.prod(shape)) for _, shape in layout]
-        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self.flat = np.zeros(sum(sizes))
         offset = 0
         for (name, shape), size in zip(layout, sizes):
             setattr(self, name, self.flat[offset:offset + size].reshape(shape))
@@ -73,9 +73,6 @@ class ModelParams:
     def named_arrays(self) -> list:
         """(name, view) pairs in layout order."""
         return [(name, getattr(self, name)) for name, _ in param_layout(*self.dims)]
-
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.dims, self.activate_final, self.flat.copy())
 
 
 def init_params(d: int, h: int, k: int, seed: int, activate_final: bool = False) -> ModelParams:
@@ -90,15 +87,15 @@ def init_params(d: int, h: int, k: int, seed: int, activate_final: bool = False)
     return params
 
 
-class RowBlockedCSR(sp.csr_matrix):
-    """A CSR matrix whose product with a 2-D ndarray runs in row blocks of
+class RowBlockedCSR(sp.csr_array):
+    """A CSR array whose product with a 2-D ndarray runs in row blocks of
     at most SPMM_BLOCK_NNZ stored entries on every CPU (``wocd.parallel``).
 
-    Each block is a plain ``csr_matrix`` over views of this matrix's arrays,
+    Each block is a plain ``csr_array`` over views of this array's arrays,
     and its public product with the operand fills its rows of one output, so
-    the result equals the plain ``csr_matrix`` product bit for bit. A product
-    on one CPU or with a matrix of one block (at most SPMM_BLOCK_NNZ entries),
-    every other operand and a wrong-shaped one go to ``csr_matrix`` as they are.
+    the result equals the plain ``csr_array`` product bit for bit. A product
+    on one CPU or with an array of one block (at most SPMM_BLOCK_NNZ entries),
+    every other operand and a wrong-shaped one go to ``csr_array`` as they are.
     """
 
     def __matmul__(self, other):
@@ -111,8 +108,8 @@ class RowBlockedCSR(sp.csr_matrix):
 
         def block(r0, r1):
             s, e = self.indptr[r0], self.indptr[r1]
-            rows = sp.csr_matrix((self.data[s:e], self.indices[s:e], self.indptr[r0:r1 + 1] - s),
-                                 shape=(r1 - r0, n_cols), copy=False)
+            rows = sp.csr_array((self.data[s:e], self.indices[s:e], self.indptr[r0:r1 + 1] - s),
+                                shape=(r1 - r0, n_cols), copy=False)
             out[r0:r1] = rows @ other
 
         parallel.run_row_blocks(block, bounds)
@@ -320,12 +317,9 @@ def _bce_term(p, y):
 
 
 def loss(c_pred: np.ndarray, sampled: SampledLabels, pseudo: Cover | None,
-         lam1: float, lam2: float) -> float:
-    value, _ = _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2)
-    return value
-
-
-def _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2):
+         lam1: float, lam2: float) -> tuple[float, np.ndarray]:
+    """(value, dL/dc_pred) of the dual-BCE loss: lam1 times the mean BCE over
+    the sampled rows plus lam2 times that over the ``pseudo_rows``."""
     d_pred = np.zeros_like(c_pred)
     val1, g1 = _bce_term(c_pred[sampled.node_ids], sampled.rows)
     d_pred[sampled.node_ids] += lam1 * g1
@@ -349,7 +343,7 @@ def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
     """
     cache: dict = {}
     c_pred = predict(params, fusion, p_mat, x, px, cache)
-    value, d_logits = _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2)
+    value, d_logits = loss(c_pred, sampled, pseudo, lam1, lam2)
 
     grads = ModelParams(params.dims, params.activate_final)
     d_logits *= c_pred
@@ -377,7 +371,7 @@ class AdamState:
         return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float):
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: float) -> None:
     """Bias-corrected Adam update of every weight at once, in place."""
     state.t += 1
     t = state.t
@@ -395,4 +389,3 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState, lr: flo
     m_hat *= lr
     m_hat /= v_hat
     params.flat -= m_hat
-    return params, state

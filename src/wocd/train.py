@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,9 +63,6 @@ class TrainConfig:
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, data: dict) -> "TrainConfig":
         data = dict(data)
@@ -87,9 +84,6 @@ class RunReport:
     loss_trace_refined: list = field(default_factory=list)
     wall_time_initial: float = 0.0
     wall_time_refined: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _seeds(seed: int) -> tuple[int, int]:

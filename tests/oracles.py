@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from wocd import Cover, FormatError, Graph
-from wocd.model import DegenerateProjectionError, ModelParams, _loss_with_pred_grad
+from wocd.model import DegenerateProjectionError, ModelParams, loss
 
 
 def weak_cliques_reference(adj):
@@ -463,7 +463,7 @@ def loss_and_gradients_reference(params, fusion, p_mat, x, px, sampled, pseudo, 
     """(loss, grads) with grads a ``ModelParams`` laid out like params."""
     cache = {}
     c_pred = predict_reference(params, fusion, p_mat, x, px, cache)
-    value, d_logits = _loss_with_pred_grad(c_pred, sampled, pseudo, lam1, lam2)
+    value, d_logits = loss(c_pred, sampled, pseudo, lam1, lam2)
     grads = ModelParams(params.dims, params.activate_final)
     d_logits *= c_pred
     d_logits *= 1.0 - c_pred

@@ -185,7 +185,7 @@ def test_criterion_4_gradient_correctness():
         _shift_biases_off_kinks(params, p, x)
         _, grads = loss_and_gradients(params, fusion, p, x, p @ x, sampled, pseudo, 1.0, 1.0)
         fd = finite_difference_grads(
-            lambda: loss(predict(params, fusion, p, x, p @ x), sampled, pseudo, 1.0, 1.0),
+            lambda: loss(predict(params, fusion, p, x, p @ x), sampled, pseudo, 1.0, 1.0)[0],
             params, step=1e-4,
         )
         for name in fd:

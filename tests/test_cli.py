@@ -149,6 +149,14 @@ class TestTrain:
             covers.append((tmp_path / f"run{i}" / "c_final.txt").read_bytes())
         assert covers[0] == covers[1]
 
+    def test_features_whitespace_line(self, synth_dir, tmp_path):
+        rows = (synth_dir / "features.csv").read_text().splitlines()
+        spaced = tmp_path / "features.csv"
+        spaced.write_text("\n".join([*rows[:5], "   ", *rows[5:]]) + "\n")
+        assert run(["train", "--edges", synth_dir / "edges.tsv", "--features", spaced,
+                    "--cover", synth_dir / "cover.txt", "--epochs-initial", 2,
+                    "--epochs-refined", 2, "--hidden", 8, "--out", tmp_path / "run"]) == 0
+
     def test_missing_file_exit_code(self, synth_dir, tmp_path):
         assert run(["train", "--edges", tmp_path / "nope.tsv",
                     "--features", synth_dir / "features.csv",
@@ -157,7 +165,7 @@ class TestTrain:
 
 
 # one case per CONFIG_FLAGS entry: the flag, a value, and the config field it
-# sets as a path into TrainConfig.to_dict(); every value differs from both the
+# sets as a path into asdict(TrainConfig()); every value differs from both the
 # default and the config file of test_flag_reaches_config
 FLAG_CASES = [
     ("--lambda1", 0.5, ("lam1",), 0.5),
@@ -194,7 +202,7 @@ class TestConfigFlags:
                     "--features", synth_dir / "features.csv",
                     "--cover", synth_dir / "cover.txt", "--config", cfg,
                     *[tok for tok in (flag, value) if tok is not None], "--out", out]) == 0
-        expected = {**TrainConfig().to_dict(), **file_values}
+        expected = {**asdict(TrainConfig()), **file_values}
         section = expected
         for key in path[:-1]:
             section = section[key]

@@ -269,6 +269,22 @@ class TestFeatures:
         with pytest.raises(FormatError):
             load_features(tmp_path / "x.csv")
 
+    @pytest.mark.parametrize("text, header, where", [
+        ("h\n# c\n\n1,2\n3,x\n", True, r"x\.csv:5: "),  # header, comment and blank lines count
+        ("1,2\n3\n", False, r"x\.csv:2: "),
+        ("1,2\n3,inf\n", False, r"x\.csv:2: "),
+    ])
+    def test_error_names_its_line(self, tmp_path, text, header, where):
+        (tmp_path / "x.csv").write_text(text)
+        with pytest.raises(FormatError, match=where):
+            load_features(tmp_path / "x.csv", header=header)
+
+    def test_whitespace_line_skipped(self, tmp_path):
+        (tmp_path / "x.csv").write_text("1,2\n   \n3,4\n")
+        (tmp_path / "y.csv").write_text("1,2\n3,4\n")
+        got, want = load_features(tmp_path / "x.csv"), load_features(tmp_path / "y.csv")
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestSynth:
     def test_seed_determinism(self):
@@ -312,11 +328,7 @@ class TestSynth:
             iu, ju = np.triu_indices(500, k=1)
             mask = share[iu, ju]
             pairs += int(mask.sum())
-            has = np.zeros_like(mask)
-            for i, (u, v) in enumerate(zip(iu, ju)):
-                if mask[i]:
-                    has[i] = g.has_edge(int(u), int(v))
-            edges += int(has.sum())
+            edges += int(g.adjacency().toarray()[iu, ju][mask].sum())
         density = edges / pairs
         assert abs(density - 0.08) <= 0.2 * 0.08
 

@@ -76,3 +76,28 @@ def test_unread_import_is_caught(tmp_path):
                      "import scipy.sparse\nimport os.path\nfrom .graph import Graph, _read_text\n"
                      "x = np.zeros(1)\ny = scipy.sparse.eye_array(1)\ng: Graph\n")
     assert _unread_imports(probe) == [(2, "itertools"), (5, "os"), (6, "_read_text")]
+
+
+def _read_names(paths) -> set:
+    """Every ``ast.Name`` id and ``ast.Attribute`` attr in the files ``paths``."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
+
+def test_every_export_is_read():
+    # a name the package exports but neither wocd nor the bench reads is
+    # surface kept for no caller
+    src = Path(wocd.__file__).parent
+    init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    exported = {a.asname or a.name for node in ast.walk(init)
+                if isinstance(node, ast.ImportFrom) for a in node.names}
+    readers = [p for p in src.glob("*.py") if p.name != "__init__.py"]
+    readers += sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    assert len(exported) > 1 and any(p.parent.name == "bench" for p in readers)
+    assert sorted(exported - _read_names(readers)) == []

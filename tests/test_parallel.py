@@ -8,6 +8,7 @@ import queue
 import sys
 import threading
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -263,7 +264,7 @@ def test_one_worker_run_equals_default(monkeypatch):
             monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: 1)
             _shrink_budgets(monkeypatch)
         artifacts: dict = {}
-        report = run_pipeline(graph, x, cover, quick_config(), artifacts=artifacts).to_dict()
+        report = asdict(run_pipeline(graph, x, cover, quick_config(), artifacts=artifacts))
         del report["wall_time_initial"], report["wall_time_refined"]
         runs.append((report, artifacts["c_final"].memberships.tobytes()))
     assert runs[0] == runs[1]

@@ -1,5 +1,6 @@
 import ast
 import hashlib
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import wocd.train
 from wocd import (
     Cover,
     FusionParams,
+    ModelParams,
     PseudoConfig,
     SampledLabels,
     SynthConfig,
@@ -95,7 +97,8 @@ class TestRefinedTraining:
         p = gcn_norm(graph)
         px = p @ x
         params, _ = initial_training(p, x, px, sampled, cover, config)
-        before = params.copy()
+        before = ModelParams(params.dims, params.activate_final)
+        before.flat[:] = params.flat
         c_pred = predict(params, config.fusion, p, x, px)
         pseudo = refresh_pseudo_labels(c_pred, sampled, config.pseudo.tau)
         assert pseudo_coverage(pseudo, sampled) == 0
@@ -120,11 +123,11 @@ class TestRefinedTraining:
         px = p @ x
         params, _ = initial_training(p, x, px, artifacts["sampled"],
                                      artifacts["clique_cover"], config)
-        snapshot = params.copy()
+        snapshot = params.flat.copy()
         assert refined_training(p, x, px, artifacts["sampled"], params,
                                 artifacts["clique_cover"], config) == []
-        np.testing.assert_array_equal(params.flat, snapshot.flat)
-        np.testing.assert_array_equal(artifacts["params"].flat, snapshot.flat)
+        np.testing.assert_array_equal(params.flat, snapshot)
+        np.testing.assert_array_equal(artifacts["params"].flat, snapshot)
         assert report.loss_trace_refined == []
         assert report.onmi == report.onmi_initial
 
@@ -164,7 +167,7 @@ class TestRunPipeline:
         config = quick_config()
         r1 = run_pipeline(graph, x, cover, config)
         r2 = run_pipeline(graph, x, cover, config)
-        d1, d2 = r1.to_dict(), r2.to_dict()
+        d1, d2 = asdict(r1), asdict(r2)
         for d in (d1, d2):  # wall clock is the one legitimately varying field
             d.pop("wall_time_initial")
             d.pop("wall_time_refined")
@@ -249,7 +252,7 @@ class TestRunPipeline:
 class TestTrainConfig:
     def test_round_trip_dict(self):
         cfg = quick_config(lam1=2.0, fusion=FusionParams(0.3, 0.7, 0.9))
-        again = TrainConfig.from_dict(cfg.to_dict())
+        again = TrainConfig.from_dict(asdict(cfg))
         assert again == cfg
 
     def test_validation(self):
