@@ -51,30 +51,30 @@ class CliqueSet:
         )
 
 
-# scalar products of A @ A per row block: a block's product holds at most
-# max(CLIQUE_BLOCK_WORK, n) entries, and each worker has one block in flight
+# scalar products of A @ (A + I) per row block: a block's product holds at
+# most max(CLIQUE_BLOCK_WORK, n) entries, and each worker has one block in flight
 CLIQUE_BLOCK_WORK = 1 << 18
 
 
 def _clique_blocks(adj: sp.csr_array) -> list:
-    """Row bounds of the blocks of ``_slot_common``: row u of A @ A takes
-    (A @ d)[u] products, the degrees of u's neighbors summed."""
-    work = adj @ np.diff(adj.indptr).astype(np.int64)
+    """Row bounds of the blocks of ``_slot_common``: row u of A @ (A + I)
+    takes (A @ (d + 1))[u] products, the closed degrees of u's neighbors summed."""
+    work = adj @ (np.diff(adj.indptr).astype(np.int64) + 1)
     return row_blocks(np.concatenate([[0], np.cumsum(work)]), CLIQUE_BLOCK_WORK)
 
 
-def _slot_common(adj: sp.csr_array) -> np.ndarray:
+def _slot_common(adj: sp.csr_array, closed: sp.csr_array) -> np.ndarray:
     """Common-neighbor count of every directed edge slot, in ``indices`` order.
 
-    The masked product (A @ A) o A, taken a block of ``_clique_blocks`` rows
-    at a time on every CPU. Adding the block itself keeps the slots of edges
-    with no common neighbor, which the elementwise product alone would drop.
+    The masked product (A @ (A + I)) o A, with ``closed`` = A + I, taken a
+    block of ``_clique_blocks`` rows at a time on every CPU; each edge slot
+    holds its count plus 1, so none drops out of the elementwise product.
     """
     out = np.empty(adj.nnz, dtype=np.int64)
 
     def block(r0, r1):
         blk = adj[r0:r1]
-        counted = (blk @ adj) * blk + blk
+        counted = (blk @ closed) * blk
         counted.sort_indices()  # the product's rows come out unsorted
         out[adj.indptr[r0]:adj.indptr[r1]] = counted.data - 1
 
@@ -82,14 +82,14 @@ def _slot_common(adj: sp.csr_array) -> np.ndarray:
     return out
 
 
-def _scores(adj: sp.csr_array, deg: np.ndarray, src: np.ndarray) -> tuple:
+def _scores(adj: sp.csr_array, closed: sp.csr_array, deg: np.ndarray, src: np.ndarray) -> tuple:
     """Node priorities and the Salton index of every edge slot, in ``indices`` order.
 
     With ``deg`` the degrees and ``src`` each slot's row, a node of degree d
     whose neighbors share m edges has priority (m + d) / (d + 1), which is 0
     when isolated; edge (u, v) has Salton index |N(u) & N(v)| / sqrt(d_u * d_v).
     """
-    slot_common = _slot_common(adj)
+    slot_common = _slot_common(adj, closed)
     degrees = deg.astype(np.float64)
     m = np.bincount(src, weights=slot_common, minlength=deg.size) / 2.0
     priority = (m + degrees) / (degrees + 1.0)
@@ -97,10 +97,9 @@ def _scores(adj: sp.csr_array, deg: np.ndarray, src: np.ndarray) -> tuple:
     return priority, slot_common * inv_sqrt_d[src] * inv_sqrt_d[adj.indices]
 
 
-def _clique_incidence(adj: sp.csr_array, seed_u: np.ndarray, seed_v: np.ndarray) -> sp.csr_array:
+def _clique_incidence(closed: sp.csr_array, seed_u: np.ndarray, seed_v: np.ndarray) -> sp.csr_array:
     """Row i is N[u] o N[v] for u, v = seed_u[i], seed_v[i]: {u, v} and their
-    common neighbors, from the closed neighborhoods, with sorted columns."""
-    closed = adj + sp.eye_array(adj.shape[0], dtype=np.int32, format="csr")
+    common neighbors, from the closed neighborhoods A + I, with sorted columns."""
     incidence = closed[seed_u] * closed[seed_v]
     incidence.sort_indices()
     return incidence
@@ -120,20 +119,20 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     max(CLIQUE_BLOCK_WORK, n) entries; the rest is linear in the edge count.
     """
     n = graph.n_nodes
-    indptr, indices = graph.indptr, graph.indices
     adj, deg = graph.adjacency(), graph.degrees()
+    closed = adj + sp.eye_array(n, dtype=np.int32, format="csr")
     src = np.repeat(np.arange(n), deg)
-    priority, si = _scores(adj, deg, src)
+    priority, si = _scores(adj, closed, deg, src)
 
     # each node's partner is its first (smallest-id) most Salton-similar
     # neighbor; consumed neighbors stay eligible, so it is fixed up front
     partner = np.full(n, -1, dtype=np.int64)
     linked = deg > 0  # reduceat mishandles the empty segments of isolated nodes
     row_max = np.zeros(n)
-    row_max[linked] = np.maximum.reduceat(si, indptr[:-1][linked])
+    row_max[linked] = np.maximum.reduceat(si, graph.indptr[:-1][linked])
     hits = np.flatnonzero(si == row_max[src])
     rows, first = np.unique(src[hits], return_index=True)
-    partner[rows] = indices[hits[first]]
+    partner[rows] = graph.indices[hits[first]]
 
     # priorities are fixed, so a single descending sort (smallest id first
     # among ties) enumerates argmax picks; isolated nodes emit nothing
@@ -149,5 +148,5 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
 
     seed_u = np.array(seeds, dtype=np.int64)
     seed_v = partner[seed_u]
-    incidence = _clique_incidence(adj, seed_u, seed_v)
+    incidence = _clique_incidence(closed, seed_u, seed_v)
     return CliqueSet(seed_u=seed_u, seed_v=seed_v, incidence=incidence)

@@ -78,7 +78,7 @@ class Graph:
 
     @classmethod
     def from_edges(cls, pairs, n_nodes: int) -> "Graph":
-        """Build from (u, v) pairs: an (M, 2) integer array or an iterable.
+        """Build from (u, v) pairs of integer ids: an (M, 2) array or an iterable.
 
         Self-loops are dropped, duplicates collapsed, and the adjacency
         symmetrized.
@@ -87,10 +87,12 @@ class Graph:
             raise ValueError(f"{n_nodes} nodes: too many for int64 edge keys")
         if not isinstance(pairs, np.ndarray):
             pairs = list(pairs)
-        e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        e = np.asarray(pairs).reshape(-1, 2)  # no dtype: int64 would truncate 0.5 to 0
+        if e.size and e.dtype.kind not in "iu":
+            raise FormatError(f"node ids must be integers, not {e.dtype}")
         if e.size and (e.min() < 0 or e.max() >= n_nodes):
             raise FormatError("node id out of range")
-        u, v = e[e[:, 0] != e[:, 1]].T
+        u, v = e[e[:, 0] != e[:, 1]].T.astype(np.int64, copy=False)
         # both directions of every edge as keys src * N + dst; their sorted
         # distinct values are the CSR slots in row order (a sort and a mask:
         # np.unique is many times slower on int64 keys)
@@ -383,7 +385,6 @@ def synth_graph(config: SynthConfig):
     primary = np.repeat(np.arange(k), np.diff(bounds))
     memb = np.zeros((n, k), dtype=np.uint8)
     memb[np.arange(n), primary] = 1
-    primary_memb = memb.copy()  # what edges see when overlap_edges is off
 
     n_overlap = int(round(config.overlap_fraction * n))
     if n_overlap > 0 and k > 1:
@@ -399,7 +400,7 @@ def synth_graph(config: SynthConfig):
     nodes = np.arange(n)
     # shared-community counts as a float32 product, which runs through BLAS;
     # a node has at most two communities, so every count (<= 2) is exact
-    memb_f = (memb if config.overlap_edges else primary_memb).astype(np.float32)
+    memb_f = memb.astype(np.float32) if config.overlap_edges else np.eye(k, dtype=np.float32)[primary]
     memb_t = memb_f.T.copy()
     edges = []
     step = max(1, SYNTH_BLOCK // n)

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -17,6 +18,11 @@ def random_graph(rng, n, p):
 
 def graph_to_adj(graph):
     return {u: set(graph.neighbors(u).tolist()) for u in range(graph.n_nodes)}
+
+
+def closed_adjacency(graph):
+    """A + I, as ``identify_weak_cliques`` builds it for the clique stages."""
+    return graph.adjacency() + sp.eye_array(graph.n_nodes, dtype=np.int32, format="csr")
 
 
 def random_cover(rng, n, k, p=0.4):

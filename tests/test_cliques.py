@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from wocd import Graph, identify_weak_cliques
 from wocd.cliques import _clique_incidence, _scores
 
-from conftest import graph_to_adj, random_graph
+from conftest import closed_adjacency, graph_to_adj, random_graph
 from oracles import weak_cliques_reference
 
 
@@ -19,7 +19,8 @@ def path3():
 
 def graph_scores(graph):
     deg = graph.degrees()
-    return _scores(graph.adjacency(), deg, np.repeat(np.arange(graph.n_nodes), deg))
+    src = np.repeat(np.arange(graph.n_nodes), deg)
+    return _scores(graph.adjacency(), closed_adjacency(graph), deg, src)
 
 
 def node_priority(graph, u):
@@ -33,7 +34,7 @@ def salton_index(graph, u, v):
 
 
 def weak_clique_members(graph, u, v):
-    inc = _clique_incidence(graph.adjacency(), np.array([u]), np.array([v]))
+    inc = _clique_incidence(closed_adjacency(graph), np.array([u]), np.array([v]))
     return inc.indices.tolist()
 
 

@@ -71,6 +71,24 @@ class TestEdgeList:
         with pytest.raises(ValueError, match="too many for int64 edge keys"):
             Graph.from_edges([(0, 1)], n)
 
+    @pytest.mark.parametrize("pairs, dtype", [
+        ([(0.5, 1.7)], "float64"),
+        (np.array([[0.0, 2.0], [1.0, 2.0]]), "float64"),
+        (np.array([[True, False]]), "bool"),
+    ], ids=["float_list", "float_array", "bool_array"])
+    def test_non_integer_ids_rejected(self, pairs, dtype):
+        # converting to int64 would truncate 0.5 and 1.7 to the edge (0, 1)
+        with pytest.raises(FormatError, match=f"^node ids must be integers, not {dtype}$"):
+            Graph.from_edges(pairs, 3)
+
+    @pytest.mark.parametrize("pairs", [[], np.array([[1, 255]], dtype=np.uint8), iter([(1, 255)])],
+                             ids=["empty", "uint8_array", "iterator"])
+    def test_integer_ids_of_any_form(self, pairs):
+        # 255 * 300 + 1 overflows uint8: the edge keys are built in int64
+        g = Graph.from_edges(pairs, 300)
+        assert g.indices.dtype == np.int64
+        assert g.indices.tolist() == ([] if isinstance(pairs, list) else [255, 1])
+
     def test_round_trip(self, tmp_path, rng):
         pairs = [(u, v) for u in range(15) for v in range(u + 1, 15) if rng.random() < 0.3]
         g = Graph.from_edges(pairs, 15)

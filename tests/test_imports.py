@@ -1,6 +1,7 @@
 """wocd reaches NumPy and SciPy only through their public modules and names,
-so a release that renames a private one cannot break it; and each wocd module
-reads every name it imports, so a deletion leaves no import behind."""
+so a release that renames a private one cannot break it; each wocd module
+reads every name it imports, so a deletion leaves no import behind; and wocd or
+the bench reads every module-level function and class wocd defines."""
 
 import ast
 from pathlib import Path
@@ -101,3 +102,40 @@ def test_every_export_is_read():
     readers += sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
     assert len(exported) > 1 and any(p.parent.name == "bench" for p in readers)
     assert sorted(exported - _read_names(readers)) == []
+
+
+def _unread_definitions(modules, readers) -> list:
+    """(file name, line, name) of every module-level ``def`` and ``class`` in
+    ``modules`` that no file of ``readers`` reads (see ``_read_names``)."""
+    read = _read_names(readers)
+    found = []
+    for path in modules:
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name not in read:
+                    found.append((path.name, node.lineno, node.name))
+    return found
+
+
+def test_every_definition_is_read():
+    # a function or class that neither wocd nor the bench reads is code kept
+    # for no caller; methods are out of scope (public accessors such as
+    # Graph.neighbors are read only by tests)
+    src = Path(wocd.__file__).parent
+    modules = sorted(src.glob("*.py"))
+    readers = [p for p in modules if p.name != "__init__.py"]
+    readers += sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+    assert len(modules) > 1 and any(p.parent.name == "bench" for p in readers)
+    assert _unread_definitions(modules, readers) == []
+
+
+def test_unread_definition_is_caught(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text("def used():\n    def inner():\n        pass\n\n\nclass Kept:\n"
+                      "    def method(self):\n        pass\n\n\ndef _dead():\n    pass\n\n\n"
+                      "class Gone:\n    pass\n\n\nasync def spun():\n    pass\n")
+    reader = tmp_path / "reader.py"
+    reader.write_text("from .module import Gone\nused()\nx = module.Kept\n")
+    assert _unread_definitions([module], [reader]) == [("module.py", 11, "_dead"),
+                                                       ("module.py", 15, "Gone"),
+                                                       ("module.py", 19, "spun")]

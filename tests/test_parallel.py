@@ -21,7 +21,7 @@ from wocd import Graph, gcn_norm, identify_weak_cliques, run_pipeline
 from wocd.cliques import _clique_blocks, _slot_common
 from wocd.parallel import row_blocks, run_row_blocks
 
-from conftest import graph_to_adj, random_graph
+from conftest import closed_adjacency, graph_to_adj, random_graph
 from oracles import weak_cliques_reference
 from test_trainer import PINNED_RUNS, _sha256, quick_config, small_instance
 
@@ -81,16 +81,31 @@ class TestRowBlocks:
         assert row_blocks(np.array([0]), 4) == [0]
 
     def test_star_leaves_spread_over_blocks(self, monkeypatch):
-        # every row of a star costs n - 1 products; a budget on squared
+        # every row of a star costs at least n products; a budget on squared
         # degrees would call each leaf 1 and put them all in one block,
-        # whose product with A is then n x n
+        # whose product with A + I is then n x n
         n, budget = 300, 50
         monkeypatch.setattr(wocd.cliques, "CLIQUE_BLOCK_WORK", budget)
-        adj = Graph.from_edges([(0, v) for v in range(1, n)], n).adjacency()
+        star = Graph.from_edges([(0, v) for v in range(1, n)], n)
+        adj, closed = star.adjacency(), closed_adjacency(star)
         bounds = _clique_blocks(adj)
         assert len(bounds) - 1 == n
         for r0, r1 in zip(bounds[:-1], bounds[1:]):
-            assert (adj[r0:r1] @ adj).nnz <= max(budget, n)
+            assert (adj[r0:r1] @ closed).nnz <= max(budget, n)
+
+    @pytest.mark.parametrize("budget", [8, 16, 64])
+    def test_clique_block_product_within_bound(self, monkeypatch, budget):
+        # the bound holds for the product the scan takes, A_blk @ (A + I):
+        # counting row u as (A @ d)[u] leaves out the identity's products
+        monkeypatch.setattr(wocd.cliques, "CLIQUE_BLOCK_WORK", budget)
+        rng = np.random.default_rng(101)  # the corpus of acceptance criterion 1
+        for _ in range(200):
+            n = int(rng.integers(4, 31))
+            g = random_graph(rng, n, float(rng.choice([0.1, 0.3, 0.5])))
+            adj, closed = g.adjacency(), closed_adjacency(g)
+            bounds = _clique_blocks(adj)
+            for r0, r1 in zip(bounds[:-1], bounds[1:]):
+                assert (adj[r0:r1] @ closed).nnz <= max(budget, n)
 
 
 class TestRunRowBlocks:
@@ -238,7 +253,7 @@ def test_slot_common_matches_clique_oracle(workers, many_blocks):
         adj = graph_to_adj(g)
         src = np.repeat(np.arange(n), g.degrees())
         want = [len(adj[u] & adj[v]) for u, v in zip(src.tolist(), g.indices.tolist())]
-        assert _slot_common(g.adjacency()).tolist() == want
+        assert _slot_common(g.adjacency(), closed_adjacency(g)).tolist() == want
         got = [(r.seed_u, r.seed_v, tuple(r.members.tolist()))
                for r in identify_weak_cliques(g).cliques]
         assert got == weak_cliques_reference(adj)
