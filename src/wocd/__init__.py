@@ -20,7 +20,7 @@ from .graph import (
     write_edge_list,
     write_features,
 )
-from .metrics import MetricReport, metric_report, onmi
+from .metrics import onmi
 from .model import (
     AdamState,
     DegenerateProjectionError,
@@ -41,7 +41,6 @@ from .pseudo import (
     construct_pseudo_labels,
     pseudo_coverage,
     refresh_pseudo_labels,
-    union_covers,
 )
 from .train import (
     RunReport,

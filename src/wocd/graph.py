@@ -70,12 +70,6 @@ class Graph:
         ones = np.ones(self.indices.size, dtype=np.int32)
         return sp.csr_array((ones, self.indices, self.indptr), shape=(self.n_nodes,) * 2)
 
-    def edge_pairs(self) -> np.ndarray:
-        """(M, 2) array of undirected edges with u < v, lexicographic order."""
-        src = np.repeat(np.arange(self.n_nodes), np.diff(self.indptr))
-        mask = src < self.indices
-        return np.stack([src[mask], self.indices[mask]], axis=1)
-
     @classmethod
     def from_edges(cls, pairs, n_nodes: int) -> "Graph":
         """Build from (u, v) pairs of integer ids: an (M, 2) array or an iterable.
@@ -89,6 +83,11 @@ class Graph:
             pairs = list(pairs)
         e = np.asarray(pairs).reshape(-1, 2)  # no dtype: int64 would truncate 0.5 to 0
         if e.size and e.dtype.kind not in "iu":
+            # a Python int past int64 turns a list of ints into floats or objects
+            if not isinstance(pairs, np.ndarray) and all(
+                    isinstance(i, numbers.Integral) and not isinstance(i, bool)
+                    for i in np.asarray(pairs, dtype=object).flat):
+                raise FormatError("node id out of int64 range")
             raise FormatError(f"node ids must be integers, not {e.dtype}")
         if e.size and (e.min() < 0 or e.max() >= n_nodes):
             raise FormatError("node id out of range")
@@ -131,10 +130,6 @@ class SampledLabels:
 
     node_ids: np.ndarray  # sorted, unique
     rows: np.ndarray  # (len(node_ids), K) uint8
-
-    @property
-    def n_sampled(self) -> int:
-        return self.node_ids.size
 
 
 @dataclass(frozen=True)
@@ -272,9 +267,11 @@ def load_edge_list(path) -> Graph:
 
 def write_edge_list(graph: Graph, path) -> None:
     ids = np.array([str(v) for v in range(graph.n_nodes)], dtype=object)
-    pairs = graph.edge_pairs()
-    cells = np.empty((len(pairs), 4), dtype=object)  # u, tab, v, newline
-    cells[:, 0::2] = ids[pairs]
+    src = np.repeat(np.arange(graph.n_nodes), graph.degrees())
+    upper = src < graph.indices  # each undirected edge once, as u < v in row order
+    cells = np.empty((int(upper.sum()), 4), dtype=object)  # u, tab, v, newline
+    cells[:, 0] = ids[src[upper]]
+    cells[:, 2] = ids[graph.indices[upper]]
     cells[:, 1] = "\t"
     cells[:, 3] = "\n"
     with open(path, "w", encoding="utf-8") as fh:

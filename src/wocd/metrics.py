@@ -1,19 +1,10 @@
-"""Overlapping NMI between covers, plus summary statistics."""
+"""Overlapping NMI between covers."""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Cover
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    onmi: float
-    n_pred_communities: int
-    n_unassigned: int
 
 
 def _h(count: np.ndarray, n: int) -> np.ndarray:
@@ -74,13 +65,3 @@ def onmi(x: Cover, y: Cover) -> float:
     value = 1.0 - 0.5 * (_conditional_norm(n11, size_a, size_b, n)
                          + _conditional_norm(n11.T, size_b, size_a, n))
     return float(min(max(value, 0.0), 1.0))
-
-
-def metric_report(pred: Cover, truth: Cover) -> MetricReport:
-    nonempty = int((pred.memberships.sum(axis=0) > 0).sum())
-    unassigned = int((~pred.memberships.any(axis=1)).sum())
-    return MetricReport(
-        onmi=onmi(pred, truth),
-        n_pred_communities=nonempty,
-        n_unassigned=unassigned,
-    )

@@ -316,7 +316,7 @@ def _bce_term(p, y):
     return value, grad
 
 
-def loss(c_pred: np.ndarray, sampled: SampledLabels, pseudo: Cover | None,
+def loss(c_pred: np.ndarray, sampled: SampledLabels, pseudo: Cover,
          lam1: float, lam2: float) -> tuple[float, np.ndarray]:
     """(value, dL/dc_pred) of the dual-BCE loss: lam1 times the mean BCE over
     the sampled rows plus lam2 times that over the ``pseudo_rows``."""
@@ -324,16 +324,15 @@ def loss(c_pred: np.ndarray, sampled: SampledLabels, pseudo: Cover | None,
     val1, g1 = _bce_term(c_pred[sampled.node_ids], sampled.rows)
     d_pred[sampled.node_ids] += lam1 * g1
     total = lam1 * val1
-    if pseudo is not None:
-        rows = pseudo_rows(pseudo, sampled)
-        val2, g2 = _bce_term(c_pred[rows], pseudo.memberships[rows])
-        d_pred[rows] += lam2 * g2
-        total += lam2 * val2
+    rows = pseudo_rows(pseudo, sampled)
+    val2, g2 = _bce_term(c_pred[rows], pseudo.memberships[rows])
+    d_pred[rows] += lam2 * g2
+    total += lam2 * val2
     return float(total), d_pred
 
 
 def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
-                       sampled: SampledLabels, pseudo: Cover | None,
+                       sampled: SampledLabels, pseudo: Cover,
                        lam1: float, lam2: float):
     """Exact analytic gradients of the dual-BCE objective.
 

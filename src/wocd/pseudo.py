@@ -100,9 +100,3 @@ def pseudo_rows(cover: Cover, sampled: SampledLabels) -> np.ndarray:
 def pseudo_coverage(cover: Cover, sampled: SampledLabels) -> int:
     """Number of non-sampled nodes carrying at least one pseudo community."""
     return pseudo_rows(cover, sampled).size
-
-
-def union_covers(a: Cover, b: Cover) -> Cover:
-    if a.memberships.shape != b.memberships.shape:
-        raise ValueError("cover shapes differ")
-    return Cover(memberships=(a.memberships | b.memberships).astype(np.uint8))

@@ -26,11 +26,10 @@ from .pseudo import (
     construct_pseudo_labels,
     pseudo_coverage,
     refresh_pseudo_labels,
-    union_covers,
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     lam1: float = 1.0
     lam2: float = 1.0
@@ -158,7 +157,7 @@ def run_pipeline(graph: Graph, x: np.ndarray, true_cover: Cover,
     report.onmi_initial = onmi(binarize(c_pred, config.binarize_threshold), true_cover)
     pseudo_cover = refresh_pseudo_labels(c_pred, sampled, config.pseudo.tau)
     if config.refresh_union:
-        pseudo_cover = union_covers(pseudo_cover, clique_cover)
+        pseudo_cover = Cover(memberships=pseudo_cover.memberships | clique_cover.memberships)
     report.n_pseudo_refined = pseudo_coverage(pseudo_cover, sampled)
 
     start = time.perf_counter()

@@ -4,13 +4,18 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+import wocd.metrics
 from wocd import (
     Cover,
     SynthConfig,
     TrainConfig,
+    construct_pseudo_labels,
+    identify_weak_cliques,
     load_cover,
     load_edge_list,
     load_features,
+    pseudo_coverage,
+    sample_labels,
     write_cover,
     write_features,
 )
@@ -108,6 +113,21 @@ class TestCliquesAndPseudo:
         assert "n_pseudo=" in stats and "cliques=" in stats
         cover = load_cover(out)
         assert cover.n_nodes == 60
+
+    def test_pseudo_matches_library(self, synth_dir, tmp_path, capsys):
+        # --seed is the sampling seed itself, and --rc the clique vote's r_c
+        out = tmp_path / "pseudo.txt"
+        assert run(["pseudo", "--edges", synth_dir / "edges.tsv",
+                    "--cover", synth_dir / "cover.txt", "--rho", 0.2,
+                    "--seed", 3, "--rc", 2, "--out", out]) == 0
+        graph = load_edge_list(synth_dir / "edges.tsv")
+        truth = load_cover(synth_dir / "cover.txt")
+        sampled = sample_labels(truth, 0.2, 3)
+        cliques = identify_weak_cliques(graph)
+        want = construct_pseudo_labels(cliques, sampled, 60, truth.n_communities, 2)
+        assert np.array_equal(load_cover(out).memberships, want.memberships)
+        assert capsys.readouterr().out == (f"n_pseudo={pseudo_coverage(want, sampled)} "
+                                           f"cliques={len(cliques)} sampled={sampled.node_ids.size}\n")
 
 
 class TestTrain:
@@ -421,6 +441,23 @@ class TestEval:
                     "--truth", synth_dir / "cover.txt"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["onmi"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_report_text(self, tmp_path, capsys):
+        # community 1 of the prediction is empty, and nodes 3 and 4 have none
+        pred, truth = tmp_path / "pred.txt", tmp_path / "truth.txt"
+        pred.write_text("#communities=3\n0: 0\n1: 0\n2: 2\n3:\n4:\n")
+        truth.write_text("0: 0\n1: 0\n2: 1\n3: 1\n4: 1\n")
+        assert run(["eval", "--pred", pred, "--truth", truth]) == 0
+        assert capsys.readouterr().out == ('{\n  "n_pred_communities": 2,\n'
+                                           '  "n_unassigned": 2,\n'
+                                           '  "onmi": 0.6032156107273315\n}\n')
+
+    def test_onmi_looked_up_on_its_module(self, synth_dir, monkeypatch, capsys):
+        # bench/tracing.py times ONMI by wrapping wocd.metrics.onmi
+        monkeypatch.setattr(wocd.metrics, "onmi", lambda pred, truth: 0.25)
+        assert run(["eval", "--pred", synth_dir / "cover.txt",
+                    "--truth", synth_dir / "cover.txt"]) == 0
+        assert json.loads(capsys.readouterr().out)["onmi"] == 0.25
 
     def test_node_count_mismatch_exit_code(self, synth_dir, tmp_path, capsys):
         truth = load_cover(synth_dir / "cover.txt")

@@ -81,6 +81,13 @@ class TestEdgeList:
         with pytest.raises(FormatError, match=f"^node ids must be integers, not {dtype}$"):
             Graph.from_edges(pairs, 3)
 
+    @pytest.mark.parametrize("pairs", [[(0, 2**63)], [(0, 2**70)], [(0, -2**63 - 1)]],
+                             ids=["max_plus_one", "far_past_max", "min_minus_one"])
+    def test_list_id_past_int64(self, pairs):
+        # NumPy makes such a list a float64 or object array, not an integer one
+        with pytest.raises(FormatError, match="^node id out of int64 range$"):
+            Graph.from_edges(pairs, 3)
+
     @pytest.mark.parametrize("pairs", [[], np.array([[1, 255]], dtype=np.uint8), iter([(1, 255)])],
                              ids=["empty", "uint8_array", "iterator"])
     def test_integer_ids_of_any_form(self, pairs):
@@ -97,6 +104,13 @@ class TestEdgeList:
         g2 = load_edge_list(path)
         assert np.array_equal(g.indptr, g2.indptr)
         assert np.array_equal(g.indices, g2.indices)
+
+    def test_written_text(self, tmp_path):
+        # node 4 has no edge; (2, 0) and (0, 2) are one edge
+        g = Graph.from_edges([(3, 1), (2, 0), (0, 2), (3, 0)], 5)
+        path = tmp_path / "e.tsv"
+        write_edge_list(g, path)
+        assert path.read_bytes() == b"#nodes=5\n0\t2\n0\t3\n1\t3\n"
 
     def test_symmetry_and_sortedness(self, rng):
         pairs = [(u, v) for u in range(20) for v in range(u + 1, 20) if rng.random() < 0.2]
@@ -416,17 +430,17 @@ class TestSampleLabels:
         for k in range(5):
             m[20 * k:20 * (k + 1), k] = 1
         s = sample_labels(Cover(memberships=m), 0.1, seed=0)
-        assert s.n_sampled == 10  # q = ceil(10) / 5 communities = 2 each
+        assert s.node_ids.size == 10  # q = ceil(10) / 5 communities = 2 each
 
     def test_rho_zero(self, rng):
         s = sample_labels(random_cover(rng, 10, 3), 0.0, seed=0)
-        assert s.n_sampled == 0
+        assert s.node_ids.size == 0
         assert s.node_ids.dtype == np.int64 and s.node_ids.shape == (0,)
         assert s.rows.dtype == np.uint8 and s.rows.shape == (0, 3)
 
     def test_no_communities(self):
         s = sample_labels(Cover(memberships=np.zeros((7, 0), dtype=np.uint8)), 0.3, seed=0)
-        assert s.n_sampled == 0
+        assert s.node_ids.size == 0
         assert s.node_ids.dtype == np.int64 and s.node_ids.shape == (0,)
         assert s.rows.dtype == np.uint8 and s.rows.shape == (0, 0)
 
@@ -450,8 +464,8 @@ class TestSampleLabels:
         q = 3  # ceil(1.0 * 6 / 2)
         for seed in range(10):
             s = sample_labels(c, 1.0, seed=seed)
-            assert len(set(s.node_ids.tolist())) == s.n_sampled
-            assert s.n_sampled <= 2 * q
+            assert len(set(s.node_ids.tolist())) == s.node_ids.size
+            assert s.node_ids.size <= 2 * q
             assert np.array_equal(s.rows, c.memberships[s.node_ids])
 
     def test_rows_are_ground_truth(self, rng):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wocd import Cover, metric_report, onmi
+from wocd import Cover, onmi
 
 from conftest import random_cover
 from oracles import onmi_loop, onmi_reference
@@ -88,13 +88,3 @@ class TestOnmi:
             x, y = covers
             assert onmi(x, y) == onmi_loop(x, y)
             assert onmi(y, x) == onmi_loop(y, x)
-
-
-class TestMetricReport:
-    def test_counts(self):
-        pred = cover_from_sets([{0, 1}, set(), {2}], 5)
-        truth = cover_from_sets([{0, 1}, {2, 3, 4}], 5)
-        rep = metric_report(pred, truth)
-        assert rep.n_pred_communities == 2
-        assert rep.n_unassigned == 2
-        assert 0.0 <= rep.onmi <= 1.0

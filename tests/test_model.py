@@ -218,7 +218,7 @@ class TestPredict:
         p = gcn_norm(g)
         base = predict(params, fusion, p, x, p @ x)
         perm = rng.permutation(n)
-        pairs = [(int(perm[u]), int(perm[v])) for u, v in g.edge_pairs()]
+        pairs = [(int(perm[u]), int(perm[v])) for u in range(n) for v in g.neighbors(u)]
         g2 = Graph.from_edges(pairs, n)
         p2, x2 = gcn_norm(g2), x[np.argsort(perm)]
         out = predict(params, fusion, p2, x2, p2 @ x2)
@@ -229,7 +229,8 @@ class TestLoss:
     def test_single_entry(self):
         sampled = SampledLabels(node_ids=np.array([0]),
                                 rows=np.array([[1]], dtype=np.uint8))
-        value, _ = loss(np.array([[0.5]]), sampled, None, 1.0, 0.0)
+        no_pseudo = Cover(memberships=np.zeros((1, 1), dtype=np.uint8))
+        value, _ = loss(np.array([[0.5]]), sampled, no_pseudo, 1.0, 0.0)
         assert value == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_perfect_prediction(self, rng):
@@ -243,8 +244,9 @@ class TestLoss:
         cover = random_cover(rng, 10, 3)
         sampled = random_sampled(rng, cover, 4)
         pred = rng.random((10, 3)) * 0.9 + 0.05
-        v1, _ = loss(pred, sampled, None, 1.0, 0.0)
-        v2, _ = loss(pred, sampled, None, 2.0, 0.0)
+        no_pseudo = Cover(memberships=np.zeros((10, 3), dtype=np.uint8))
+        v1, _ = loss(pred, sampled, no_pseudo, 1.0, 0.0)
+        v2, _ = loss(pred, sampled, no_pseudo, 2.0, 0.0)
         assert v2 == pytest.approx(2.0 * v1, rel=1e-12)
 
     def test_empty_pseudo_contributes_zero(self, rng):
@@ -252,14 +254,15 @@ class TestLoss:
         sampled = random_sampled(rng, cover, 4)
         pred = rng.random((10, 3)) * 0.9 + 0.05
         zero = Cover(memberships=np.zeros((10, 3), dtype=np.uint8))
-        assert loss(pred, sampled, zero, 1.0, 5.0)[0] == loss(pred, sampled, None, 1.0, 0.0)[0]
+        assert loss(pred, sampled, zero, 1.0, 5.0)[0] == loss(pred, sampled, zero, 1.0, 0.0)[0]
 
     def test_lambda2_zero_adds_exact_zeros(self, rng):
         cover = random_cover(rng, 10, 3)
         sampled = random_sampled(rng, cover, 4)
         pred = rng.random((10, 3)) * 0.9 + 0.05
         value, grad = loss(pred, sampled, random_cover(rng, 10, 3), 1.0, 0.0)
-        want_value, want_grad = loss(pred, sampled, None, 1.0, 0.0)
+        no_pseudo = Cover(memberships=np.zeros((10, 3), dtype=np.uint8))
+        want_value, want_grad = loss(pred, sampled, no_pseudo, 1.0, 0.0)
         assert value == want_value and grad.tobytes() == want_grad.tobytes()
 
     def test_lambda2_ignores_sampled_rows(self, rng):

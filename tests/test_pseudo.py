@@ -10,7 +10,6 @@ from wocd import (
     construct_pseudo_labels,
     pseudo_coverage,
     refresh_pseudo_labels,
-    union_covers,
 )
 
 from conftest import random_cover, random_sampled
@@ -178,10 +177,3 @@ class TestPseudoConfig:
             PseudoConfig(r_c=0)
         with pytest.raises(ValueError):
             PseudoConfig(tau=1.0)
-
-
-def test_union_covers(rng):
-    a = random_cover(rng, 8, 3)
-    b = random_cover(rng, 8, 3)
-    u = union_covers(a, b)
-    assert np.array_equal(u.memberships, (a.memberships | b.memberships))

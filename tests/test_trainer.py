@@ -1,6 +1,7 @@
 import ast
 import hashlib
-from dataclasses import asdict
+import importlib
+from dataclasses import FrozenInstanceError, asdict
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,12 @@ class TestRunPipeline:
         assert isinstance(sampled, SampledLabels)
         assert isinstance(tau, float)
 
+    def test_every_bench_tracer_target_resolves(self):
+        # bench/tracing.py looks up every entry before it runs anything, so a
+        # name deleted or renamed here breaks every traced bench run
+        for module, attr, _ in _bench_tracer_targets():
+            assert callable(getattr(importlib.import_module(module), attr, None)), (module, attr)
+
     def test_refresh_union_keeps_clique_labels(self):
         # the union with the clique cover can only add pseudo-labeled nodes
         graph, x, cover = small_instance()
@@ -265,3 +272,10 @@ class TestTrainConfig:
                 TrainConfig(**bad)
         with pytest.raises(TypeError):
             TrainConfig(hidden=2.5)
+
+    def test_frozen(self):
+        # an assignment would skip the range checks of __post_init__
+        cfg = TrainConfig()
+        with pytest.raises(FrozenInstanceError):
+            cfg.lr = -1.0
+        assert cfg.lr == 1e-3
