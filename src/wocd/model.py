@@ -7,6 +7,7 @@ attention never materializes the N x N score matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -18,6 +19,7 @@ from .pseudo import pseudo_rows
 CLAMP_EPS = 1e-7
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 SPMM_BLOCK_NNZ = 1 << 16  # stored entries of P per row block of P @ Z
+DENSE_BLOCK_FLOATS = 1 << 16  # entries of an N x h array per row block of the dense stages
 
 
 class DegenerateProjectionError(ValueError):
@@ -125,11 +127,31 @@ def gcn_norm(graph: Graph) -> RowBlockedCSR:
     return RowBlockedCSR((vals, closed.indices, closed.indptr), shape=closed.shape)
 
 
+def dense_blocks(n: int, h: int) -> list:
+    """Row bounds of the dense row-wise stages over n rows of width h.
+
+    BLAS picks a kernel by shape, and a block's product equals the same rows
+    of the whole product only where both take the same kernel: a 1-row block
+    is a matrix-vector product, a matrix-vector product takes its rows in
+    fours and finishes a remainder its own way, and a transposed product of a
+    few rows takes a small-matrix kernel. So each block but the last holds
+    the same multiple of 4 rows, about DENSE_BLOCK_FLOATS / h, and a last
+    block shorter than half of that joins the one before it.
+    """
+    rows = max(4, DENSE_BLOCK_FLOATS // h // 4 * 4)
+    bounds = list(range(0, n, rows)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] < rows // 2:
+        del bounds[-2]
+    return bounds
+
+
 def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Three propagation layers over ``px = p_mat @ x``, which no weight
     touches and so is computed once by the caller; the last layer emits
     pre-activations unless activate_final is set."""
     n_layers = len(params.gcn_w)
+    n, h = px.shape[0], params.dims[1]
+    bounds = dense_blocks(n, h)
     if cache is not None:
         cache["gcn_m"] = []  # P @ Z_l per layer, px for the first
         cache["gcn_mask"] = []  # Z_l > 0 per rectified layer, which is pre > 0
@@ -138,14 +160,23 @@ def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None =
         if l > 0:
             m = p_mat @ z
             del z  # free Z_(l-1) before the next N x h allocation
-        z = m @ w
-        z += b
+        rectify = l < n_layers - 1 or params.activate_final
+        z = np.empty((n, h))
+        mask = np.empty((n, h), dtype=bool) if rectify and cache is not None else None
+
+        def layer(r0, r1):
+            z_b = np.matmul(m[r0:r1], w, out=z[r0:r1])
+            z_b += b
+            if rectify:
+                np.maximum(z_b, 0.0, out=z_b)
+                if mask is not None:
+                    np.greater(z_b, 0.0, out=mask[r0:r1])
+
+        parallel.run_row_blocks(layer, bounds)
         if cache is not None:
             cache["gcn_m"].append(m)
-        if l < n_layers - 1 or params.activate_final:
-            np.maximum(z, 0.0, out=z)
-            if cache is not None:
-                cache["gcn_mask"].append(z > 0)
+            if mask is not None:
+                cache["gcn_mask"].append(mask)
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite GCN activations (divergence)")
     return z
@@ -156,6 +187,7 @@ def _gcn_backward(params: ModelParams, p_mat, cache, d_fused, alpha, grads) -> N
     leaves d_fused alone and pops each layer's cache entries after their
     last read."""
     n_layers = len(params.gcn_w)
+    bounds = dense_blocks(*d_fused.shape)
     d = alpha * d_fused
     for l in range(n_layers - 1, -1, -1):
         if l < n_layers - 1 or params.activate_final:
@@ -164,7 +196,9 @@ def _gcn_backward(params: ModelParams, p_mat, cache, d_fused, alpha, grads) -> N
         grads.gcn_b[l] += d.sum(axis=0)
         if l > 0:
             # P is symmetric, so d(P @ Z) / dZ pulls back through P itself
-            d_z = d @ params.gcn_w[l].T
+            d_z, w_t = np.empty_like(d), params.gcn_w[l].T
+            parallel.run_row_blocks(lambda r0, r1: np.matmul(d[r0:r1], w_t, out=d_z[r0:r1]),
+                                    bounds)
             del d
             d = p_mat @ d_z
             del d_z
@@ -176,15 +210,19 @@ def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | N
     Computed in the factored order Q(K^T V), O(N h^2).
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    z0 = x @ params.input_proj_w
-    z0 += params.input_proj_b
-    q = z0 @ params.gt_q_w
-    q += params.gt_q_b
-    k = z0 @ params.gt_k_w
-    k += params.gt_k_b
-    v = z0 @ params.gt_v_w
-    v += params.gt_v_b
+    n, h = x.shape[0], params.dims[1]
+    bounds = dense_blocks(n, h)
+    z0, q, k, v = (np.empty((n, h)) for _ in range(4))
+
+    def project(r0, r1):
+        z0_b = np.matmul(x[r0:r1], params.input_proj_w, out=z0[r0:r1])
+        z0_b += params.input_proj_b
+        for out, w, b in ((q, params.gt_q_w, params.gt_q_b), (k, params.gt_k_w, params.gt_k_b),
+                          (v, params.gt_v_w, params.gt_v_b)):
+            out_b = np.matmul(z0_b, w, out=out[r0:r1])
+            out_b += b
+
+    parallel.run_row_blocks(project, bounds)
     with np.errstate(over="ignore"):  # an overflow is reported below
         qn = np.linalg.norm(q)
         kn = np.linalg.norm(k)
@@ -192,24 +230,30 @@ def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | N
         raise DegenerateProjectionError("Q or K has zero Frobenius norm")
     if not (np.isfinite(qn) and np.isfinite(kn)):
         raise DegenerateProjectionError("Q or K has a non-finite Frobenius norm")
-    q /= qn  # Q~ and K~ from here on
-    k /= kn
+    k /= kn  # K~ from here on; Q~ is Q / qn block by block below
     s = k.sum(axis=0)  # K~^T 1
-    denom = q @ s  # diagonal of D
-    denom /= n
-    denom += 1.0
-    if not np.all(denom > 0.0):  # |Q~_i s| / N <= 1 / sqrt(N), so N is 1 here
-        raise DegenerateProjectionError("the attention normalizer 1 + Q~ K~^T 1 / N is 0")
     w_kv = k.T @ v  # h x h
-    u = q @ w_kv
-    u /= n
-    u += v
-    if cache is None:  # the backward pass reads U, so only an uncached call may overwrite it
-        z_gt = np.divide(u, denom[:, None], out=u)
-    else:
-        z_gt = u / denom[:, None]
-    z_gt *= gamma
-    z_gt += (1.0 - gamma) * z0
+    denom = np.empty(n)  # diagonal of D
+    u = np.empty((n, h))
+    # the backward pass reads U, so only an uncached call may overwrite it
+    z_gt = u if cache is None else np.empty((n, h))
+
+    def attend(r0, r1):
+        q_b, denom_b = q[r0:r1], denom[r0:r1]
+        q_b /= qn
+        np.matmul(q_b, s, out=denom_b)
+        denom_b /= n
+        denom_b += 1.0
+        if not np.all(denom_b > 0.0):  # |Q~_i s| / N <= 1 / sqrt(N), so N is 1 here
+            raise DegenerateProjectionError("the attention normalizer 1 + Q~ K~^T 1 / N is 0")
+        u_b = np.matmul(q_b, w_kv, out=u[r0:r1])
+        u_b /= n
+        u_b += v[r0:r1]
+        z_b = np.divide(u_b, denom_b[:, None], out=z_gt[r0:r1])
+        z_b *= gamma
+        z_b += (1.0 - gamma) * z0[r0:r1]
+
+    parallel.run_row_blocks(attend, bounds)
     if cache is not None:
         cache.update(
             gt_z0=z0, gt_v=v, gt_qn=qn, gt_kn=kn, gt_qt=q, gt_kt=k, gt_s=s,
@@ -218,65 +262,80 @@ def gt_forward(params: ModelParams, x: np.ndarray, gamma: float, cache: dict | N
     return z_gt
 
 
-def _normalized_backward(d_t, t, norm):
-    """Gradient w.r.t. T from d_t = dL/dT~ and T~ = T / norm, norm = ||T||_F.
-    Overwrites d_t (which it returns) and t."""
-    t *= (d_t * t).sum()
-    d_t -= t
-    d_t /= norm
-    return d_t
-
-
 def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
     """Overwrites d_out and pops each cache entry after its last read."""
-    n = x.shape[0]
+    n, h = d_out.shape
+    bounds = dense_blocks(n, h)
     denom, u = cache.pop("gt_denom"), cache.pop("gt_u")
+    d_u, d_denom = np.empty((n, h)), np.empty(n)
+    d_z0 = d_out
 
     # Z_gt = gamma U / denom + (1 - gamma) Z0
-    d_u = gamma * d_out
-    d_u /= denom[:, None]
-    u *= d_out
-    d_denom = -gamma * u.sum(axis=1) / denom**2
+    def through_output(r0, r1):
+        d_out_b, denom_b, u_b = d_out[r0:r1], denom[r0:r1], u[r0:r1]
+        d_u_b = np.multiply(gamma, d_out_b, out=d_u[r0:r1])
+        d_u_b /= denom_b[:, None]
+        u_b *= d_out_b
+        d_denom[r0:r1] = -gamma * u_b.sum(axis=1) / denom_b**2
+        d_out_b *= 1.0 - gamma  # dL/dZ0 so far
+
+    parallel.run_row_blocks(through_output, bounds)
     del u, denom
-    d_z0 = d_out
-    d_z0 *= 1.0 - gamma
 
-    # U = V + Q~ (K~^T V) / N
+    # U = V + Q~ (K~^T V) / N and denom = 1 + Q~ s / N, s = K~^T 1
     qt, kt = cache.pop("gt_qt"), cache.pop("gt_kt")
-    d_qt = d_u @ cache.pop("gt_wkv").T
-    d_qt /= n
     d_wkv = (qt.T @ d_u) / n
-    d_kt = cache.pop("gt_v") @ d_wkv.T
-    d_v = d_u
-    d_v += kt @ d_wkv
-
-    # denom = 1 + Q~ s / N, s = K~^T 1
-    d_outer = np.outer(d_denom, cache.pop("gt_s"))
-    d_outer /= n
-    d_qt += d_outer
     d_s = (qt.T @ d_denom) / n
-    d_kt += d_s[None, :]
+    wkv_t, s, v = cache.pop("gt_wkv").T, cache.pop("gt_s"), cache.pop("gt_v")
+    d_qt, d_kt = np.empty((n, h)), np.empty((n, h))
+    d_v = d_u  # d_u's rows are read into d_qt before they become d_v's
 
-    # Q~ = Q / ||Q||_F, K~ = K / ||K||_F
-    d_q = _normalized_backward(d_qt, qt, cache.pop("gt_qn"))
-    d_k = _normalized_backward(d_kt, kt, cache.pop("gt_kn"))
-    del qt, kt
+    def through_attention(r0, r1):
+        d_qt_b = np.matmul(d_u[r0:r1], wkv_t, out=d_qt[r0:r1])
+        d_qt_b /= n
+        d_kt_b = np.matmul(v[r0:r1], d_wkv.T, out=d_kt[r0:r1])
+        d_v[r0:r1] += kt[r0:r1] @ d_wkv
+        d_outer = np.outer(d_denom[r0:r1], s)
+        d_outer /= n
+        d_qt_b += d_outer
+        d_kt_b += d_s
+
+    parallel.run_row_blocks(through_attention, bounds)
+    del v
+
+    # Q~ = Q / ||Q||_F, K~ = K / ||K||_F: dL/dT = (dL/dT~ - T~ <dL/dT~, T~>) / ||T||_F
+    normalized = [(d_qt, qt, (d_qt * qt).sum(), cache.pop("gt_qn")),
+                  (d_kt, kt, (d_kt * kt).sum(), cache.pop("gt_kn"))]
+    d_q, d_k = d_qt, d_kt
+
+    def through_weights(r0, r1):
+        for d_t, t, dot, norm in normalized:
+            t_b, d_t_b = t[r0:r1], d_t[r0:r1]
+            t_b *= dot
+            d_t_b -= t_b
+            d_t_b /= norm
+        d_proj = d_q[r0:r1] @ params.gt_q_w.T
+        d_proj += d_k[r0:r1] @ params.gt_k_w.T
+        d_proj += d_v[r0:r1] @ params.gt_v_w.T
+        d_z0[r0:r1] += d_proj
+
+    parallel.run_row_blocks(through_weights, bounds)
+    del qt, kt, normalized
+
+    def add_grads(grad_w, grad_b, m, d):  # each a whole product over the N rows
+        grad_w += m.T @ d
+        grad_b += d.sum(axis=0)
 
     z0 = cache.pop("gt_z0")
-    grads.gt_q_w += z0.T @ d_q
-    grads.gt_q_b += d_q.sum(axis=0)
-    grads.gt_k_w += z0.T @ d_k
-    grads.gt_k_b += d_k.sum(axis=0)
-    grads.gt_v_w += z0.T @ d_v
-    grads.gt_v_b += d_v.sum(axis=0)
-    del z0
-
-    d_proj = d_q @ params.gt_q_w.T
-    d_proj += d_k @ params.gt_k_w.T
-    d_proj += d_v @ params.gt_v_w.T
-    d_z0 += d_proj
-    grads.input_proj_w += x.T @ d_z0
-    grads.input_proj_b += d_z0.sum(axis=0)
+    tasks = [partial(add_grads, grads.gt_q_w, grads.gt_q_b, z0, d_q),
+             partial(add_grads, grads.gt_k_w, grads.gt_k_b, z0, d_k),
+             partial(add_grads, grads.gt_v_w, grads.gt_v_b, z0, d_v),
+             partial(add_grads, grads.input_proj_w, grads.input_proj_b, x, d_z0)]
+    if len(bounds) > 2:  # side by side; over one block a thread costs more than it saves
+        parallel.run_tasks(tasks)
+    else:
+        for task in tasks:
+            task()
 
 
 def _sigmoid(x):

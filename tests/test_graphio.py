@@ -432,6 +432,15 @@ class TestSampleLabels:
         s = sample_labels(Cover(memberships=m), 0.1, seed=0)
         assert s.node_ids.size == 10  # q = ceil(10) / 5 communities = 2 each
 
+    def test_fractional_quota_rounds_up(self):
+        # 0.1 * 100 / 4 = 2.5 per community: ceil takes 3 of each 25
+        m = np.zeros((100, 4), dtype=np.uint8)
+        for k in range(4):
+            m[25 * k:25 * (k + 1), k] = 1
+        s = sample_labels(Cover(memberships=m), 0.1, seed=0)
+        assert s.node_ids.size == 12
+        assert np.all(m[s.node_ids].sum(axis=0) == 3)
+
     def test_rho_zero(self, rng):
         s = sample_labels(random_cover(rng, 10, 3), 0.0, seed=0)
         assert s.node_ids.size == 0

@@ -25,7 +25,7 @@ from wocd import (
     predict,
 )
 
-from wocd.model import RowBlockedCSR, _sigmoid, param_layout
+from wocd.model import CLAMP_EPS, RowBlockedCSR, _bce_term, _sigmoid, dense_blocks, param_layout
 from wocd.parallel import row_blocks
 
 from conftest import random_cover, random_graph, random_sampled
@@ -105,6 +105,20 @@ class TestGcnForward:
         got = gcn_forward(params, p, p @ x)
         want = gcn_dense_reference(dense_adjacency(g), x, params.gcn_w, params.gcn_b)
         np.testing.assert_allclose(got, want, atol=1e-10)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_activations(self, rng):
+        # the GCN branch overflows while the attention branch stays finite, so
+        # the GCN's own check is the one that reports it
+        g = random_graph(rng, 12, 0.4)
+        x = rng.normal(size=(12, 5))
+        params = init_params(5, 6, 3, seed=3)
+        params.gcn_w1[:] = 1e200
+        params.gcn_w2[:] = 1e200
+        p = gcn_norm(g)
+        assert np.all(np.isfinite(gt_forward(params, x, 0.1)))
+        with pytest.raises(FloatingPointError, match="non-finite GCN activations"):
+            predict(params, FusionParams(), p, x, p @ x)
 
     def test_activate_final_flag(self, rng):
         g = random_graph(rng, 10, 0.4)
@@ -232,6 +246,15 @@ class TestLoss:
         no_pseudo = Cover(memberships=np.zeros((1, 1), dtype=np.uint8))
         value, _ = loss(np.array([[0.5]]), sampled, no_pseudo, 1.0, 0.0)
         assert value == pytest.approx(np.log(2.0), abs=1e-12)
+
+    def test_clamp_bounds_get_no_gradient(self):
+        # p clipped to [CLAMP_EPS, 1 - CLAMP_EPS] passes no gradient, at the
+        # bounds themselves too
+        p = np.array([[CLAMP_EPS, 1.0 - CLAMP_EPS, 0.5]])
+        for y in (0, 1):
+            _, grad = _bce_term(p, np.full(p.shape, y, dtype=np.uint8))
+            assert grad[0, :2].tolist() == [0.0, 0.0]
+            assert grad[0, 2] != 0.0
 
     def test_perfect_prediction(self, rng):
         cover = random_cover(rng, 8, 3)
@@ -364,20 +387,36 @@ class TestEpochBuffers:
             tracemalloc.stop()
         return peak / (x.shape[0] * params.dims[1] * 8)
 
-    def test_peak_memory_of_one_call(self):
+    @staticmethod
+    def _layouts(monkeypatch, h):
+        """Set 1 and then 2 workers, each with the default dense row blocks
+        (1024 rows at h = 64) and with 128-row blocks; yields a label."""
+        default = wocd.model.DENSE_BLOCK_FLOATS
+        for workers in (1, 2):
+            monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: workers)
+            for rows in (None, 128):
+                monkeypatch.setattr(wocd.model, "DENSE_BLOCK_FLOATS", rows * h if rows else default)
+                yield f"{workers} workers, {rows or 'default'} rows"
+
+    def test_peak_memory_of_one_call(self, monkeypatch):
         p, x, px, params, sampled, pseudo = self._instance()
         args = (params, FusionParams(), p, x, px, sampled, pseudo, 1.0, 1.0)
         # the peak comes at the end of the forward pass: P @ Z of two layers,
         # two bool masks, Z0, Q, K, V, U, the fused output and the last GCN
         # layer's output, about 9.3; caching float pre-activations and
-        # holding temporaries in the caller read about 12.4
-        assert self._peak_n_by_h(lambda: loss_and_gradients(*args), x, params) <= 10.5
+        # holding temporaries in the caller read about 12.4. A row block's
+        # temporaries are a block's rows, not N
+        for layout in self._layouts(monkeypatch, params.dims[1]):
+            peak = self._peak_n_by_h(lambda: loss_and_gradients(*args), x, params)
+            assert peak <= 10.5, layout
 
-    def test_peak_memory_of_predict(self):
+    def test_peak_memory_of_predict(self, monkeypatch):
         p, x, px, params, _, _ = self._instance()
         fusion = FusionParams()
         # Z0, Q, K, V and U, plus one temporary while they are alive
-        assert self._peak_n_by_h(lambda: predict(params, fusion, p, x, px), x, params) <= 7.0
+        for layout in self._layouts(monkeypatch, params.dims[1]):
+            peak = self._peak_n_by_h(lambda: predict(params, fusion, p, x, px), x, params)
+            assert peak <= 7.0, layout
 
     def test_peak_memory_of_blocked_product(self, monkeypatch):
         p, x, _, params, _, _ = self._instance()
@@ -433,6 +472,66 @@ class TestEpochBuffers:
         for (name, got), (_, want) in zip(grads.named_arrays(), grads_ref.named_arrays()):
             assert np.array_equal(got, want), name
         assert np.array_equal(predict(*args[:5]), predict_reference(*args[:5]))
+
+    @pytest.mark.parametrize("activate_final", [False, True])
+    def test_row_blocks_equal_one_block(self, workers, monkeypatch, activate_final):
+        # 1025 rows cut every 64 would leave row 1024 alone, a 1-row product
+        # that BLAS computes another way, so it joins the block before it; a
+        # budget of 62 rows is cut every 60
+        n = 1025
+        p, x, px, params, sampled, pseudo = self._instance(n=n)
+        params.activate_final = activate_final
+        h = params.dims[1]
+        args = (params, FusionParams(0.6, 0.5, 0.4), p, x, px, sampled, pseudo, 1.0, 1.0)
+        runs = []
+        for rows, last in ((2 * n, 0), (64, 960), (62, 960)):
+            monkeypatch.setattr(wocd.model, "DENSE_BLOCK_FLOATS", rows * h)
+            bounds = dense_blocks(n, h)
+            assert bounds[-2:] == [last, n]
+            value, grads = loss_and_gradients(*args)
+            runs.append((value, grads.flat.tobytes(), predict(*args[:5]).tobytes()))
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+
+    def test_one_block_starts_no_thread(self, monkeypatch):
+        # at the acceptance workload's size every dense stage and P @ Z is
+        # one block, which the calling thread runs
+        calls = []
+        run_tasks = wocd.parallel.run_tasks
+
+        def counted(tasks):
+            calls.append(len(tasks))
+            run_tasks(tasks)
+
+        monkeypatch.setattr(wocd.parallel, "run_tasks", counted)
+        monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: 2)
+        p, x, px, params, sampled, pseudo = self._instance(n=500, h=128)
+        assert dense_blocks(500, 128) == [0, 500]
+        loss_and_gradients(params, FusionParams(), p, x, px, sampled, pseudo, 1.0, 1.0)
+        predict(params, FusionParams(), p, x, px)
+        assert calls and max(calls) == 1
+
+
+class TestDenseBlocks:
+    @pytest.mark.parametrize("h", [1, 3, 16, 64, 128, 5000, 1 << 17])
+    def test_bounds(self, h):
+        for n in [0, 1, 2, 3, 4, 5, 9, 511, 512, 513, 1023, 1025, 1500, 5000, 1 << 17]:
+            bounds = dense_blocks(n, h)
+            sizes = np.diff(bounds)
+            assert bounds[0] == 0 and bounds[-1] == n
+            assert np.all(sizes >= min(n, 2)), (n, h)
+            # equal blocks of a multiple of 4 rows within the budget, then a
+            # last one at least half as long
+            full = sizes[:-1]
+            assert np.all(full == full[:1]) and np.all(full % 4 == 0), (n, h)
+            assert np.all(full * h <= max(wocd.model.DENSE_BLOCK_FLOATS, 4 * h)), (n, h)
+            if full.size:
+                assert sizes[-1] >= full[0] // 2, (n, h)
+
+    def test_workload_sizes(self):
+        # acceptance (N = 500) and scale (N = 5000) at h = 128
+        assert dense_blocks(500, 128) == [0, 500]
+        assert dense_blocks(5000, 128) == [*range(0, 4609, 512), 5000]
 
 
 class TestAdam:
