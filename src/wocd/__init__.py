@@ -1,5 +1,14 @@
 """Semi-supervised overlapping community detection with weak cliques."""
 
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    # wocd runs the epoch's row blocks on every CPU itself (wocd.parallel), and
+    # an OpenBLAS that also starts a thread per CPU in each block competes for
+    # them. BLAS reads this once, as NumPy loads it; a caller's value stands
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .cliques import (
     CliqueRecord,
     CliqueSet,

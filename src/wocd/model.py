@@ -7,7 +7,6 @@ attention never materializes the N x N score matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,12 +130,13 @@ def dense_blocks(n: int, h: int) -> list:
     """Row bounds of the dense row-wise stages over n rows of width h.
 
     BLAS picks a kernel by shape, and a block's product equals the same rows
-    of the whole product only where both take the same kernel: a 1-row block
-    is a matrix-vector product, a matrix-vector product takes its rows in
-    fours and finishes a remainder its own way, and a transposed product of a
-    few rows takes a small-matrix kernel. So each block but the last holds
-    the same multiple of 4 rows, about DENSE_BLOCK_FLOATS / h, and a last
-    block shorter than half of that joins the one before it.
+    of the whole product only where both take the same kernel. On OpenBLAS
+    0.3.31 (x86-64), a 1-row block is a matrix-vector product, a
+    matrix-vector product takes its rows in fours and finishes a remainder
+    its own way, and a transposed product of a few rows takes a small-matrix
+    kernel. So each block but the last holds the same multiple of 4 rows,
+    about DENSE_BLOCK_FLOATS / h, and a last block shorter than half of that
+    joins the one before it. The bounds never depend on the worker count.
     """
     rows = max(4, DENSE_BLOCK_FLOATS // h // 4 * 4)
     bounds = list(range(0, n, rows)) + [n]
@@ -322,20 +322,13 @@ def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
     parallel.run_row_blocks(through_weights, bounds)
     del qt, kt, normalized
 
-    def add_grads(grad_w, grad_b, m, d):  # each a whole product over the N rows
-        grad_w += m.T @ d
-        grad_b += d.sum(axis=0)
-
     z0 = cache.pop("gt_z0")
-    tasks = [partial(add_grads, grads.gt_q_w, grads.gt_q_b, z0, d_q),
-             partial(add_grads, grads.gt_k_w, grads.gt_k_b, z0, d_k),
-             partial(add_grads, grads.gt_v_w, grads.gt_v_b, z0, d_v),
-             partial(add_grads, grads.input_proj_w, grads.input_proj_b, x, d_z0)]
-    if len(bounds) > 2:  # side by side; over one block a thread costs more than it saves
-        parallel.run_tasks(tasks)
-    else:
-        for task in tasks:
-            task()
+    for grad_w, grad_b, m, d in ((grads.gt_q_w, grads.gt_q_b, z0, d_q),
+                                 (grads.gt_k_w, grads.gt_k_b, z0, d_k),
+                                 (grads.gt_v_w, grads.gt_v_b, z0, d_v),
+                                 (grads.input_proj_w, grads.input_proj_b, x, d_z0)):
+        grad_w += m.T @ d  # each a whole product over the N rows
+        grad_b += d.sum(axis=0)
 
 
 def _sigmoid(x):

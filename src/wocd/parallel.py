@@ -4,26 +4,24 @@ A sparse block is SciPy's public product of some consecutive rows of a CSR
 matrix. A dense block is a stage of the model's NumPy arithmetic on some
 consecutive rows, written into those rows of arrays its caller allocated.
 Compiled kernels release the interpreter lock, so threads that each take
-blocks run on separate CPUs. A sparse block computes each row over the same
-entries in the same order as the whole product. A dense block does so where
-BLAS takes the same kernel for it as for the whole array: a 1-row product
-takes another one and can differ in the last bit, so a dense block has at
-least 2 rows (``wocd.model.dense_blocks`` states the whole rule). So results
-are bit-identical whatever the worker count. Whole products that do not
-depend on each other, such as weight gradients, run side by side as tasks;
-each stays one product.
+blocks run on separate CPUs. Block bounds never depend on the worker count,
+so results are bit-identical whatever it is. A sparse block computes each
+row over the same entries in the same order as the whole product, so it
+also equals the whole product. A dense block equals the same rows of the
+whole product only where BLAS takes the same kernel for both;
+``wocd.model.dense_blocks`` cuts blocks for which that held on OpenBLAS
+0.3.31 (x86-64), and another BLAS build may differ in the last bits.
 
-A call over b blocks or tasks has min(cpu_count(), b) workers, at most one
-per CPU in the process's affinity mask (``taskset`` limits it): the calling
-thread plus threads started for the call and joined before it returns, so no
-thread outlives a call. With one worker, or one block, no thread starts. The
-clique scan and the dense stages keep their blocks then, as they bound memory
-and give the same bits; a product of P is SciPy's whole one.
+A call over b blocks has min(cpu_count(), b) workers, at most one per CPU in
+the process's affinity mask (``taskset`` limits it): the calling thread plus
+threads started for the call and joined before it returns, so no thread
+outlives a call. With one worker, or one block, no thread starts. The clique
+scan and the dense stages keep their blocks then, as they bound memory and
+fix the bits; a product of P is SciPy's whole one.
 """
 
 from __future__ import annotations
 
-import functools
 import os
 import threading
 
@@ -52,30 +50,30 @@ def row_blocks(cum_work, budget: int) -> list:
     return bounds
 
 
-def run_tasks(tasks) -> None:
-    """Call every callable of ``tasks`` once, with no arguments.
+def run_row_blocks(fn, bounds) -> None:
+    """Call ``fn(r0, r1)`` once for every consecutive pair of ``bounds``.
 
-    The tasks must write disjoint outputs. The caller and
-    ``min(cpu_count(), len(tasks)) - 1`` threads started for this call take
-    them in order from one shared queue, and every thread is joined before
-    this returns. The first exception a task raises is raised here once no
-    task is running, and no task starts after it.
+    The blocks must write disjoint outputs. The caller and
+    ``min(cpu_count(), blocks) - 1`` threads started for this call take them
+    in turn from one shared queue, and every thread is joined before this
+    returns. The first exception a block raises is raised here once no block
+    is running, and no block starts after it.
     """
-    todo, lock, failed = iter(tasks), threading.Lock(), []
+    todo, lock, failed = zip(bounds[:-1], bounds[1:]), threading.Lock(), []
 
     def drain():
         while True:
             with lock:
-                task = None if failed else next(todo, None)
-            if task is None:
+                span = None if failed else next(todo, None)
+            if span is None:
                 return
             try:
-                task()
+                fn(*span)
             except BaseException as exc:  # handed to the caller, which raises it
                 with lock:
                     failed.append(exc)
 
-    workers = min(cpu_count(), len(tasks))
+    workers = min(cpu_count(), len(bounds) - 1)
     threads = [threading.Thread(target=drain) for _ in range(workers - 1)]
     for thread in threads:
         thread.start()
@@ -84,9 +82,3 @@ def run_tasks(tasks) -> None:
         thread.join()
     if failed:
         raise failed[0]
-
-
-def run_row_blocks(fn, bounds) -> None:
-    """Call ``fn(r0, r1)`` once for every consecutive pair of ``bounds``, as
-    ``run_tasks`` calls its tasks."""
-    run_tasks([functools.partial(fn, r0, r1) for r0, r1 in zip(bounds[:-1], bounds[1:])])

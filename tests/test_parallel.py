@@ -5,10 +5,12 @@ import contextlib
 import multiprocessing
 import os
 import queue
+import subprocess
 import sys
 import threading
 import time
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +285,19 @@ def test_one_worker_run_equals_default(monkeypatch):
         del report["wall_time_initial"], report["wall_time_refined"]
         runs.append((report, artifacts["c_final"].memberships.tobytes()))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("preset, first, want", [(None, "wocd", "1"), ("2", "wocd", "2"),
+                                                 (None, "numpy", "None")])
+def test_import_pins_openblas_before_numpy(preset, first, want):
+    # the dense row blocks each call BLAS on a CPU of their own, so importing
+    # wocd before NumPy asks OpenBLAS for one thread unless the caller chose a
+    # count; once NumPy has loaded BLAS, the environment is left alone
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = str(Path(wocd.__file__).parents[1])
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, {first}, wocd; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == want
