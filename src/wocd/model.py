@@ -1,7 +1,9 @@
 """GCN + single-layer linear-attention graph transformer, loss, and gradients.
 
 Everything is float64 numpy with exact analytic gradients; the linear
-attention never materializes the N x N score matrix.
+attention never materializes the N x N score matrix. A linear last GCN layer
+is folded into the linear head when that makes it narrower (``folds_head``),
+so its products of P are N x K, not N x h.
 """
 
 from __future__ import annotations
@@ -109,8 +111,11 @@ class RowBlockedCSR(sp.csr_array):
 
         def block(r0, r1):
             s, e = self.indptr[r0], self.indptr[r1]
-            rows = sp.csr_array((self.data[s:e], self.indices[s:e], self.indptr[r0:r1 + 1] - s),
-                                shape=(r1 - r0, n_cols), copy=False)
+            # the constructor copies a short slice of a long array ("pruning"),
+            # so the block's arrays are set after it, as views of this one's
+            rows = sp.csr_array((r1 - r0, n_cols), dtype=self.dtype)
+            rows.data, rows.indices = self.data[s:e], self.indices[s:e]
+            rows.indptr = self.indptr[r0:r1 + 1] - s
             out[r0:r1] = rows @ other
 
         parallel.run_row_blocks(block, bounds)
@@ -145,10 +150,25 @@ def dense_blocks(n: int, h: int) -> list:
     return bounds
 
 
-def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None) -> np.ndarray:
+def folds_head(params: ModelParams) -> bool:
+    """Whether the head is folded into the last GCN layer: that layer is
+    linear (activate_final unset), so P Z W + 1 b^T then the head is
+    P (Z (W head)) + 1 (b^T head), and it is narrower that way (K < h)."""
+    return not params.activate_final and params.dims[2] < params.dims[1]
+
+
+def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None,
+                head: np.ndarray | None = None) -> np.ndarray:
     """Three propagation layers over ``px = p_mat @ x``, which no weight
     touches and so is computed once by the caller; the last layer emits
-    pre-activations unless activate_final is set."""
+    pre-activations unless activate_final is set.
+
+    Given an h x K ``head``, returns the linear last layer's output times
+    head, ``P @ (Z @ (W @ head)) + b @ head``, so its ``P @ Z`` is K wide and
+    its N x h output is never built (see ``folds_head``).
+    """
+    if head is not None and params.activate_final:
+        raise ValueError("a rectified last GCN layer cannot be folded into the head")
     n_layers = len(params.gcn_w)
     n, h = px.shape[0], params.dims[1]
     bounds = dense_blocks(n, h)
@@ -157,6 +177,13 @@ def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None =
         cache["gcn_mask"] = []  # Z_l > 0 per rectified layer, which is pre > 0
     m = px
     for l, (w, b) in enumerate(zip(params.gcn_w, params.gcn_b)):
+        if head is not None and l == n_layers - 1:
+            w_head = w @ head
+            if cache is not None:
+                cache.update(gcn_z=z, gcn_w_head=w_head)
+            z = p_mat @ (z @ w_head)
+            z += b @ head
+            break
         if l > 0:
             m = p_mat @ z
             del z  # free Z_(l-1) before the next N x h allocation
@@ -182,14 +209,29 @@ def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None =
     return z
 
 
-def _gcn_backward(params: ModelParams, p_mat, cache, d_fused, alpha, grads) -> None:
-    """Gradients of the GCN branch from dL/d(fused) and its weight alpha;
-    leaves d_fused alone and pops each layer's cache entries after their
-    last read."""
+def _gcn_backward(params: ModelParams, p_mat, cache, d_out, alpha, grads) -> None:
+    """Gradients of the GCN branch from dL/d(its output) and its weight
+    alpha. A folded branch's output is its share of the logits, so d_out is
+    dL/dlogits (N x K) and the head's gradient gets the branch's share too.
+    Leaves d_out alone and pops each layer's cache entries after their last
+    read."""
     n_layers = len(params.gcn_w)
-    bounds = dense_blocks(*d_fused.shape)
-    d = alpha * d_fused
-    for l in range(n_layers - 1, -1, -1):
+    bounds = dense_blocks(d_out.shape[0], params.dims[1])
+    d = alpha * d_out
+    top = n_layers - 1
+    if "gcn_w_head" in cache:
+        # P is symmetric, so every gradient of the folded layer comes from
+        # e = P @ d, which is K wide
+        e = p_mat @ d
+        z_e = cache.pop("gcn_z").T @ e
+        d_sum = d.sum(axis=0)
+        grads.gcn_w[top] += z_e @ params.head_w.T
+        grads.gcn_b[top] += params.head_w @ d_sum
+        grads.head_w += params.gcn_w[top].T @ z_e
+        grads.head_w += np.outer(params.gcn_b[top], d_sum)
+        d = e @ cache.pop("gcn_w_head").T
+        top -= 1
+    for l in range(top, -1, -1):
         if l < n_layers - 1 or params.activate_final:
             d *= cache["gcn_mask"].pop()
         grads.gcn_w[l] += cache["gcn_m"].pop().T @ d
@@ -341,15 +383,22 @@ def predict(params: ModelParams, fusion: FusionParams, p_mat, x: np.ndarray,
             px: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Fused community-probability matrix, logistic over the linear head.
 
-    px is ``p_mat @ x``.
+    px is ``p_mat @ x``. Where ``folds_head``, the GCN branch adds its share
+    of the logits, K wide, to the GT branch's ``beta Z_gt @ head``; otherwise
+    the head maps the fused ``beta Z_gt + alpha Z_gcn``.
     """
+    fold = folds_head(params)
     fused = gt_forward(params, x, fusion.gamma, cache)
     fused *= fusion.beta
-    z_gcn = gcn_forward(params, p_mat, px, cache)
+    z_gcn = gcn_forward(params, p_mat, px, cache, params.head_w if fold else None)
     z_gcn *= fusion.alpha
-    fused += z_gcn
+    if fold:
+        logits = fused @ params.head_w
+        logits += z_gcn
+    else:
+        fused += z_gcn
+        logits = fused @ params.head_w
     del z_gcn
-    logits = fused @ params.head_w
     logits += params.head_b
     if cache is not None:
         cache["fused"] = fused
@@ -390,7 +439,9 @@ def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
 
     px is ``p_mat @ x``. Returns (loss, grads); grads is a ModelParams laid
     out like params. The backward pass drops each cached activation after its
-    last read, so the forward pass's buffers are freed as it goes.
+    last read, so the forward pass's buffers are freed as it goes. Where
+    ``folds_head``, the head's gradient sums the GT branch's share, from the
+    cached beta Z_gt, and the GCN branch's, from dL/dlogits.
     """
     cache: dict = {}
     c_pred = predict(params, fusion, p_mat, x, px, cache)
@@ -403,7 +454,8 @@ def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
     grads.head_w += fused.T @ d_logits
     grads.head_b += d_logits.sum(axis=0)
     d_fused = np.matmul(d_logits, params.head_w.T, out=fused)  # fused is not read again
-    _gcn_backward(params, p_mat, cache, d_fused, fusion.alpha, grads)
+    _gcn_backward(params, p_mat, cache, d_logits if folds_head(params) else d_fused,
+                  fusion.alpha, grads)
     d_fused *= fusion.beta
     _gt_backward(params, x, fusion.gamma, cache, d_fused, grads)
     return value, grads

@@ -312,15 +312,21 @@ def onmi_loop(x, y):
 # handling cannot change a result. The loss head (masks and BCE) is the
 # package's own; it is tested on its own.
 
-def gcn_forward_reference(params, p_mat, px, cache=None):
+def gcn_forward_reference(params, p_mat, px, cache=None, head=None):
     """GCN branch over ``px = p_mat @ x``; caches each layer's input and
-    pre-activation."""
+    pre-activation. Given ``head``, the linear last layer is folded into it:
+    the result is ``P (Z (W head)) + b head``, and the cache keeps Z."""
     n_layers = len(params.gcn_w)
     if cache is not None:
         cache["gcn_m"] = []
         cache["gcn_pre"] = []
     m = px
     for l, (w, b) in enumerate(zip(params.gcn_w, params.gcn_b)):
+        if head is not None and l == n_layers - 1:
+            if cache is not None:
+                cache["gcn_z"] = z
+            z = p_mat @ (z @ (w @ head)) + b @ head
+            break
         if l > 0:
             m = p_mat @ z
         pre = m @ w
@@ -337,8 +343,20 @@ def gcn_forward_reference(params, p_mat, px, cache=None):
 
 def _gcn_backward_reference(params, p_mat, cache, d_out, grads):
     n_layers = len(params.gcn_w)
+    top = n_layers - 1
     d = d_out
-    for l in range(n_layers - 1, -1, -1):
+    if "gcn_z" in cache:  # d_out is dL/dlogits of the folded last layer
+        w, b, head = params.gcn_w[top], params.gcn_b[top], params.head_w
+        e = p_mat @ d
+        z_e = cache.pop("gcn_z").T @ e
+        d_sum = d.sum(axis=0)
+        grads.gcn_w[top] += z_e @ head.T
+        grads.gcn_b[top] += head @ d_sum
+        grads.head_w += w.T @ z_e
+        grads.head_w += np.outer(b, d_sum)
+        d = e @ (w @ head).T
+        top -= 1
+    for l in range(top, -1, -1):
         pre = cache["gcn_pre"].pop()
         if l < n_layers - 1 or params.activate_final:
             d *= pre > 0
@@ -446,13 +464,24 @@ def _sigmoid_reference(x):
     return out
 
 
+def _folds_head(params):
+    return not params.activate_final and params.dims[2] < params.dims[1]
+
+
 def predict_reference(params, fusion, p_mat, x, px, cache=None):
-    """Fused community probabilities: the GCN branch first, then attention."""
-    z_gcn = gcn_forward_reference(params, p_mat, px, cache)
+    """Fused community probabilities: the GCN branch first, then attention.
+    A linear last GCN layer narrower than h once times the head is folded
+    into it, and the two branches meet in the logits."""
+    fold = _folds_head(params)
+    z_gcn = gcn_forward_reference(params, p_mat, px, cache, params.head_w if fold else None)
     fused = _gt_forward_reference(params, x, fusion.gamma, cache)
     fused *= fusion.beta
-    fused += fusion.alpha * z_gcn
-    logits = fused @ params.head_w
+    if fold:
+        logits = fused @ params.head_w
+        logits += fusion.alpha * z_gcn
+    else:
+        fused += fusion.alpha * z_gcn
+        logits = fused @ params.head_w
     logits += params.head_b
     if cache is not None:
         cache["fused"] = fused
@@ -470,7 +499,8 @@ def loss_and_gradients_reference(params, fusion, p_mat, x, px, sampled, pseudo, 
     grads.head_w += cache.pop("fused").T @ d_logits
     grads.head_b += d_logits.sum(axis=0)
     d_fused = d_logits @ params.head_w.T
-    _gcn_backward_reference(params, p_mat, cache, fusion.alpha * d_fused, grads)
+    d_gcn = d_logits if _folds_head(params) else d_fused
+    _gcn_backward_reference(params, p_mat, cache, fusion.alpha * d_gcn, grads)
     d_fused *= fusion.beta
     _gt_backward_reference(params, x, fusion.gamma, cache, d_fused, grads)
     return value, grads

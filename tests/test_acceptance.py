@@ -142,7 +142,8 @@ def test_criterion_3_pseudo_label_oracle_equivalence():
 
 
 def _shift_biases_off_kinks(params, p, x, margin=0.02):
-    """Nudge hidden-layer biases so no pre-activation sits near zero.
+    """Nudge the biases of every rectified layer so no pre-activation sits
+    near zero.
 
     Central differences are only a valid gradient oracle where the loss is
     smooth; a probe step that flips a piecewise-linear unit biases the
@@ -150,7 +151,8 @@ def _shift_biases_off_kinks(params, p, x, margin=0.02):
     pre-activation values keeps the instance random while guaranteeing the
     finite-difference step cannot cross a kink.
     """
-    for layer in range(len(params.gcn_w) - 1):
+    n_rectified = len(params.gcn_w) - (0 if params.activate_final else 1)
+    for layer in range(n_rectified):
         cache = {}
         gcn_forward_reference(params, p, p @ x, cache=cache)
         pre = cache["gcn_pre"][layer]
@@ -164,18 +166,21 @@ def _shift_biases_off_kinks(params, p, x, margin=0.02):
             params.gcn_b[layer][j] -= mid
     cache = {}
     gcn_forward_reference(params, p, p @ x, cache=cache)
-    worst = min(np.min(np.abs(pre)) for pre in cache["gcn_pre"][:-1])
+    worst = min(np.min(np.abs(pre)) for pre in cache["gcn_pre"][:n_rectified])
     assert worst >= margin, f"pre-activation {worst} still within kink reach"
 
 
 def test_criterion_4_gradient_correctness():
-    n, d, k, h = 12, 7, 3, 8
-    for trial in range(20):
+    # the head folded into the linear last GCN layer (K < h), and the two
+    # cases that keep that layer h wide: a rectified last layer, and K >= h
+    n, d, h = 12, 7, 8
+    for k, activate_final, trial in [(k, a, t) for k, a in ((3, False), (3, True), (8, False))
+                                     for t in range(20)]:
         rng = np.random.default_rng(300 + trial)
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
         g = Graph.from_edges(pairs, n)
         x = rng.normal(size=(n, d))
-        params = init_params(d, h, k, seed=400 + trial)
+        params = init_params(d, h, k, seed=400 + trial, activate_final=activate_final)
         cover = Cover(memberships=(rng.random((n, k)) < 0.4).astype(np.uint8))
         ids = np.sort(rng.choice(n, 4, replace=False))
         sampled = SampledLabels(node_ids=ids, rows=cover.memberships[ids].copy())
@@ -192,9 +197,9 @@ def test_criterion_4_gradient_correctness():
             g_a, g_f = getattr(grads, name), fd[name]
             small = np.abs(g_a) < 1e-6
             rel = np.abs(g_a - g_f) / np.maximum(np.abs(g_f), 1e-300)
-            assert np.all(rel[~small] <= 1e-4), (trial, name)
-            assert np.all(np.abs(g_a - g_f)[small] <= 1e-8), (trial, name)
-    report(4, "(20 instances, all tensors)")
+            assert np.all(rel[~small] <= 1e-4), (k, activate_final, trial, name)
+            assert np.all(np.abs(g_a - g_f)[small] <= 1e-8), (k, activate_final, trial, name)
+    report(4, "(20 instances each folded, activate_final and K >= h, all tensors)")
 
 
 def test_criterion_5_linear_attention_equivalence():

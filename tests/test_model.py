@@ -239,6 +239,67 @@ class TestPredict:
         np.testing.assert_allclose(out[perm], base, atol=1e-10)
 
 
+class _CountingP:
+    """P behind a wrapper that records the width of every product's operand."""
+
+    def __init__(self, p):
+        self.p, self.widths = p, []
+
+    def __matmul__(self, z):
+        self.widths.append(z.shape[1])
+        return self.p @ z
+
+
+class TestHeadFold:
+    """The head is folded into a linear last GCN layer when K < h, so that
+    layer's products of P are K wide."""
+
+    def _instance(self, k, activate_final, h=16, n=40):
+        rng = np.random.default_rng(31)
+        g = random_graph(rng, n, 0.2)
+        x = rng.normal(size=(n, 5))
+        params = init_params(5, h, k, seed=32, activate_final=activate_final)
+        cover = random_cover(rng, n, k)
+        return g, x, params, random_sampled(rng, cover, 8), cover
+
+    @pytest.mark.parametrize("k, activate_final, folded", [
+        (4, False, True), (4, True, False), (16, False, False), (20, False, False)])
+    def test_product_widths(self, k, activate_final, folded):
+        g, x, params, sampled, pseudo = self._instance(k, activate_final)
+        assert wocd.model.folds_head(params) == folded
+        h, fusion = params.dims[1], FusionParams(0.6, 0.5, 0.4)
+        p = _CountingP(gcn_norm(g))
+        px = p.p @ x
+        loss_and_gradients(params, fusion, p, x, px, sampled, pseudo, 1.0, 1.0)
+        # forward P @ Z0 and P @ Z1, then backward through the top layer and layer 1
+        assert p.widths == ([h, k, k, h] if folded else [h, h, h, h])
+        p.widths.clear()
+        predict(params, fusion, p, x, px)
+        assert p.widths == ([h, k] if folded else [h, h])
+
+    def test_rectified_last_layer_is_not_folded(self):
+        g, x, params, _, _ = self._instance(4, True)
+        p = gcn_norm(g)
+        with pytest.raises(ValueError, match="cannot be folded"):
+            gcn_forward(params, p, p @ x, head=params.head_w)
+
+    @pytest.mark.parametrize("fusion", [(0.5, 0.5, 0.1), (0.7, 0.4, 0.3), (1.0, 0.0, 0.5)])
+    def test_matches_unfolded_dense_reference(self, fusion):
+        g, x, params, _, _ = self._instance(4, False)
+        assert wocd.model.folds_head(params)
+        fusion = FusionParams(*fusion)
+        p = gcn_norm(g)
+        z_gcn = gcn_dense_reference(dense_adjacency(g), x, params.gcn_w, params.gcn_b)
+        want = z_gcn @ params.head_w
+        got = gcn_forward(params, p, p @ x, head=params.head_w)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        z_gt = gt_quadratic_reference(x, params, fusion.gamma)
+        logits = (fusion.alpha * z_gcn + fusion.beta * z_gt) @ params.head_w + params.head_b
+        want = 1.0 / (1.0 + np.exp(-logits))
+        got = predict(params, fusion, p, x, p @ x)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 class TestLoss:
     def test_single_entry(self):
         sampled = SampledLabels(node_ids=np.array([0]),
@@ -308,13 +369,13 @@ class TestLoss:
 
 
 class TestGradients:
-    def _instance(self, seed):
+    def _instance(self, seed, k=3, activate_final=False):
         rng = np.random.default_rng(seed)
-        n, d, k, h = 12, 7, 3, 8
+        n, d, h = 12, 7, 8
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
         g = Graph.from_edges(pairs, n)
         x = rng.normal(size=(n, d))
-        params = init_params(d, h, k, seed=seed + 100)
+        params = init_params(d, h, k, seed=seed + 100, activate_final=activate_final)
         cover = Cover(memberships=(rng.random((n, k)) < 0.4).astype(np.uint8))
         ids = np.sort(rng.choice(n, 4, replace=False))
         sampled = SampledLabels(node_ids=ids, rows=cover.memberships[ids].copy())
@@ -322,7 +383,18 @@ class TestGradients:
         return g, x, params, sampled, pseudo
 
     def test_matches_finite_differences(self):
-        g, x, params, sampled, pseudo = self._instance(0)
+        self._check_finite_differences(*self._instance(0))
+
+    @pytest.mark.parametrize("k, activate_final", [(3, True), (8, False), (11, False)],
+                             ids=["activate_final", "k_equals_h", "k_above_h"])
+    def test_unfolded_matches_finite_differences(self, k, activate_final):
+        # the last GCN layer stays h wide: it is rectified, or K >= h
+        g, x, params, sampled, pseudo = self._instance(0, k, activate_final)
+        assert not wocd.model.folds_head(params)
+        self._check_finite_differences(g, x, params, sampled, pseudo)
+
+    @staticmethod
+    def _check_finite_differences(g, x, params, sampled, pseudo):
         fusion = FusionParams(0.6, 0.5, 0.4)
         p = gcn_norm(g)
         _, grads = loss_and_gradients(params, fusion, p, x, p @ x, sampled, pseudo, 1.2, 0.8)
@@ -401,19 +473,24 @@ class TestEpochBuffers:
     def test_peak_memory_of_one_call(self, monkeypatch):
         p, x, px, params, sampled, pseudo = self._instance()
         args = (params, FusionParams(), p, x, px, sampled, pseudo, 1.0, 1.0)
-        # the peak comes at the end of the forward pass: P @ Z of two layers,
-        # two bool masks, Z0, Q, K, V, U, the fused output and the last GCN
-        # layer's output, about 9.3; caching float pre-activations and
-        # holding temporaries in the caller read about 12.4. A row block's
+        # the head is folded into the last GCN layer (K = 4 < h = 64), so the
+        # GCN forward ends at about 8.4 and its backward at 8.7; with that
+        # layer h wide, its output, the fused sum and P @ Z1 put them at about
+        # 9.4 and 9.6. The peak now comes in the attention backward, about 9.0
+        # with one worker and up to 9.5 when two workers' block temporaries
+        # overlap (two 1024-row blocks here). Caching float pre-activations
+        # and holding temporaries in the caller read about 12.4. A row block's
         # temporaries are a block's rows, not N
         for layout in self._layouts(monkeypatch, params.dims[1]):
             peak = self._peak_n_by_h(lambda: loss_and_gradients(*args), x, params)
-            assert peak <= 10.5, layout
+            assert peak <= 10.4, layout
 
     def test_peak_memory_of_predict(self, monkeypatch):
         p, x, px, params, _, _ = self._instance()
         fusion = FusionParams()
-        # Z0, Q, K, V and U, plus one temporary while they are alive
+        # the peak comes in gt_forward: Z0, Q, K, V and U, plus one temporary
+        # while they are alive, about 5.6. The GCN branch after it reaches
+        # about 3.1 with the head folded into its last layer, 4.0 without
         for layout in self._layouts(monkeypatch, params.dims[1]):
             peak = self._peak_n_by_h(lambda: predict(params, fusion, p, x, px), x, params)
             assert peak <= 7.0, layout

@@ -236,6 +236,23 @@ class TestBlockedProduct:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
 
+    def test_blocks_share_the_arrays_of_p(self, monkeypatch, many_blocks):
+        # a row block's data and indices are views of P's, not copies of them
+        monkeypatch.setattr(wocd.parallel, "cpu_count", lambda: 2)
+        p = gcn_norm(_graphs()["random"])
+        blocks, product = [], sp.csr_array.__matmul__
+
+        def recorded(block, other):
+            blocks.append(block)
+            return product(block, other)
+
+        monkeypatch.setattr(sp.csr_array, "__matmul__", recorded)
+        p @ _operands(p.shape[0])["c_order"]
+        assert len(blocks) > 1
+        for block in blocks:
+            assert np.shares_memory(block.data, p.data)
+            assert np.shares_memory(block.indices, p.indices)
+
     @pytest.mark.parametrize("shape", [(41, 3), (39, 3), (41,), (3, 40)])
     def test_wrong_shape_raises_like_scipy(self, many_blocks, shape):
         p = gcn_norm(_graphs()["random"])

@@ -143,7 +143,7 @@ def _sha256(array) -> str:
 PINNED_RUNS = [
     (dict(),
      "4a1c54e1c692a6ce54fd31f0795c36e6810a67abf971560a89b706c05a650403",
-     "5bf930bc3746a7931d1a234d0e7ae05681aef7e12b31f53eb94649505b3fbf46",
+     "36af4785e5e2d2d0c913c23a06cc95edf677c21b13b1ce9932d28cecbdee3aee",
      "297493e0cd834e79a3113ab08e1587089cb38b81ab2cec3c4e06eb73540883b5",
      0.1899809241376893, 0.14593461575502342, 39, 0),
     (dict(refresh_union=True, activate_final=True),
