@@ -2,8 +2,8 @@
 
 Everything is float64 numpy with exact analytic gradients; the linear
 attention never materializes the N x N score matrix. A linear last GCN layer
-is folded into the linear head when that makes it narrower (``folds_head``),
-so its products of P are N x K, not N x h.
+(activate_final unset) is folded into the linear head, so its products of P
+are N x K, not N x h.
 """
 
 from __future__ import annotations
@@ -150,60 +150,47 @@ def dense_blocks(n: int, h: int) -> list:
     return bounds
 
 
-def folds_head(params: ModelParams) -> bool:
-    """Whether the head is folded into the last GCN layer: that layer is
-    linear (activate_final unset), so P Z W + 1 b^T then the head is
-    P (Z (W head)) + 1 (b^T head), and it is narrower that way (K < h)."""
-    return not params.activate_final and params.dims[2] < params.dims[1]
-
-
-def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None,
-                head: np.ndarray | None = None) -> np.ndarray:
+def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Three propagation layers over ``px = p_mat @ x``, which no weight
-    touches and so is computed once by the caller; the last layer emits
-    pre-activations unless activate_final is set.
+    touches and so is computed once by the caller.
 
-    Given an h x K ``head``, returns the linear last layer's output times
-    head, ``P @ (Z @ (W @ head)) + b @ head``, so its ``P @ Z`` is K wide and
-    its N x h output is never built (see ``folds_head``).
+    With activate_final set, every layer is rectified and the result is the
+    last layer's N x h output. Otherwise the linear last layer is folded into
+    the head, (P Z W + 1 b^T) head = P (Z (W head)) + 1 (b^T head), and the
+    result is the branch's N x K share of the logits, so that layer's
+    ``P @ Z`` is K wide and its N x h output is never built.
     """
-    if head is not None and params.activate_final:
-        raise ValueError("a rectified last GCN layer cannot be folded into the head")
-    n_layers = len(params.gcn_w)
     n, h = px.shape[0], params.dims[1]
     bounds = dense_blocks(n, h)
+    n_rectified = len(params.gcn_w) - (0 if params.activate_final else 1)
     if cache is not None:
-        cache["gcn_m"] = []  # P @ Z_l per layer, px for the first
+        cache["gcn_m"] = []  # P @ Z_l per rectified layer, px for the first
         cache["gcn_mask"] = []  # Z_l > 0 per rectified layer, which is pre > 0
     m = px
-    for l, (w, b) in enumerate(zip(params.gcn_w, params.gcn_b)):
-        if head is not None and l == n_layers - 1:
-            w_head = w @ head
-            if cache is not None:
-                cache.update(gcn_z=z, gcn_w_head=w_head)
-            z = p_mat @ (z @ w_head)
-            z += b @ head
-            break
+    for l in range(n_rectified):
+        w, b = params.gcn_w[l], params.gcn_b[l]
         if l > 0:
             m = p_mat @ z
             del z  # free Z_(l-1) before the next N x h allocation
-        rectify = l < n_layers - 1 or params.activate_final
         z = np.empty((n, h))
-        mask = np.empty((n, h), dtype=bool) if rectify and cache is not None else None
+        mask = None if cache is None else np.empty((n, h), dtype=bool)
 
         def layer(r0, r1):
             z_b = np.matmul(m[r0:r1], w, out=z[r0:r1])
             z_b += b
-            if rectify:
-                np.maximum(z_b, 0.0, out=z_b)
-                if mask is not None:
-                    np.greater(z_b, 0.0, out=mask[r0:r1])
+            np.maximum(z_b, 0.0, out=z_b)
+            if mask is not None:
+                np.greater(z_b, 0.0, out=mask[r0:r1])
 
         parallel.run_row_blocks(layer, bounds)
         if cache is not None:
             cache["gcn_m"].append(m)
-            if mask is not None:
-                cache["gcn_mask"].append(mask)
+            cache["gcn_mask"].append(mask)
+    if not params.activate_final:
+        if cache is not None:
+            cache["gcn_z"] = z
+        z = p_mat @ (z @ (params.gcn_w[-1] @ params.head_w))
+        z += params.gcn_b[-1] @ params.head_w
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite GCN activations (divergence)")
     return z
@@ -211,29 +198,26 @@ def gcn_forward(params: ModelParams, p_mat, px: np.ndarray, cache: dict | None =
 
 def _gcn_backward(params: ModelParams, p_mat, cache, d_out, alpha, grads) -> None:
     """Gradients of the GCN branch from dL/d(its output) and its weight
-    alpha. A folded branch's output is its share of the logits, so d_out is
-    dL/dlogits (N x K) and the head's gradient gets the branch's share too.
-    Leaves d_out alone and pops each layer's cache entries after their last
-    read."""
-    n_layers = len(params.gcn_w)
+    alpha. Without activate_final the branch's output is its share of the
+    logits, so d_out is dL/dlogits (N x K) and the head's gradient gets the
+    branch's share too. Leaves d_out alone and pops each layer's cache
+    entries after their last read."""
     bounds = dense_blocks(d_out.shape[0], params.dims[1])
     d = alpha * d_out
-    top = n_layers - 1
-    if "gcn_w_head" in cache:
+    if not params.activate_final:
         # P is symmetric, so every gradient of the folded layer comes from
         # e = P @ d, which is K wide
+        w, b, head = params.gcn_w[-1], params.gcn_b[-1], params.head_w
         e = p_mat @ d
         z_e = cache.pop("gcn_z").T @ e
         d_sum = d.sum(axis=0)
-        grads.gcn_w[top] += z_e @ params.head_w.T
-        grads.gcn_b[top] += params.head_w @ d_sum
-        grads.head_w += params.gcn_w[top].T @ z_e
-        grads.head_w += np.outer(params.gcn_b[top], d_sum)
-        d = e @ cache.pop("gcn_w_head").T
-        top -= 1
-    for l in range(top, -1, -1):
-        if l < n_layers - 1 or params.activate_final:
-            d *= cache["gcn_mask"].pop()
+        grads.gcn_w[-1] += z_e @ head.T
+        grads.gcn_b[-1] += head @ d_sum
+        grads.head_w += w.T @ z_e
+        grads.head_w += np.outer(b, d_sum)
+        d = e @ (w @ head).T
+    for l in reversed(range(len(cache["gcn_mask"]))):
+        d *= cache["gcn_mask"].pop()
         grads.gcn_w[l] += cache["gcn_m"].pop().T @ d
         grads.gcn_b[l] += d.sum(axis=0)
         if l > 0:
@@ -335,9 +319,11 @@ def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
     def through_attention(r0, r1):
         d_qt_b = np.matmul(d_u[r0:r1], wkv_t, out=d_qt[r0:r1])
         d_qt_b /= n
-        d_kt_b = np.matmul(v[r0:r1], d_wkv.T, out=d_kt[r0:r1])
-        d_v[r0:r1] += kt[r0:r1] @ d_wkv
-        d_outer = np.outer(d_denom[r0:r1], s)
+        v_b = v[r0:r1]
+        d_kt_b = np.matmul(v_b, d_wkv.T, out=d_kt[r0:r1])
+        # V's rows are not read again, so they hold this block's temporaries
+        d_v[r0:r1] += np.matmul(kt[r0:r1], d_wkv, out=v_b)
+        d_outer = np.outer(d_denom[r0:r1], s, out=v_b)
         d_outer /= n
         d_qt_b += d_outer
         d_kt_b += d_s
@@ -356,9 +342,10 @@ def _gt_backward(params: ModelParams, x, gamma, cache, d_out, grads) -> None:
             t_b *= dot
             d_t_b -= t_b
             d_t_b /= norm
-        d_proj = d_q[r0:r1] @ params.gt_q_w.T
-        d_proj += d_k[r0:r1] @ params.gt_k_w.T
-        d_proj += d_v[r0:r1] @ params.gt_v_w.T
+        # Q~'s and K~'s rows are not read again either
+        d_proj = np.matmul(d_q[r0:r1], params.gt_q_w.T, out=qt[r0:r1])
+        d_proj += np.matmul(d_k[r0:r1], params.gt_k_w.T, out=kt[r0:r1])
+        d_proj += np.matmul(d_v[r0:r1], params.gt_v_w.T, out=kt[r0:r1])
         d_z0[r0:r1] += d_proj
 
     parallel.run_row_blocks(through_weights, bounds)
@@ -383,21 +370,20 @@ def predict(params: ModelParams, fusion: FusionParams, p_mat, x: np.ndarray,
             px: np.ndarray, cache: dict | None = None) -> np.ndarray:
     """Fused community-probability matrix, logistic over the linear head.
 
-    px is ``p_mat @ x``. Where ``folds_head``, the GCN branch adds its share
-    of the logits, K wide, to the GT branch's ``beta Z_gt @ head``; otherwise
-    the head maps the fused ``beta Z_gt + alpha Z_gcn``.
+    px is ``p_mat @ x``. With activate_final set, the head maps the fused
+    ``beta Z_gt + alpha Z_gcn``; otherwise the GCN branch adds its share of
+    the logits, K wide, to the GT branch's ``beta Z_gt @ head``.
     """
-    fold = folds_head(params)
     fused = gt_forward(params, x, fusion.gamma, cache)
     fused *= fusion.beta
-    z_gcn = gcn_forward(params, p_mat, px, cache, params.head_w if fold else None)
+    z_gcn = gcn_forward(params, p_mat, px, cache)
     z_gcn *= fusion.alpha
-    if fold:
-        logits = fused @ params.head_w
-        logits += z_gcn
-    else:
+    if params.activate_final:
         fused += z_gcn
         logits = fused @ params.head_w
+    else:
+        logits = fused @ params.head_w
+        logits += z_gcn
     del z_gcn
     logits += params.head_b
     if cache is not None:
@@ -439,9 +425,9 @@ def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
 
     px is ``p_mat @ x``. Returns (loss, grads); grads is a ModelParams laid
     out like params. The backward pass drops each cached activation after its
-    last read, so the forward pass's buffers are freed as it goes. Where
-    ``folds_head``, the head's gradient sums the GT branch's share, from the
-    cached beta Z_gt, and the GCN branch's, from dL/dlogits.
+    last read, so the forward pass's buffers are freed as it goes. Without
+    activate_final, the head's gradient sums the GT branch's share, from the
+    cached beta Z_gt, and the folded GCN layer's, from dL/dlogits.
     """
     cache: dict = {}
     c_pred = predict(params, fusion, p_mat, x, px, cache)
@@ -454,7 +440,7 @@ def loss_and_gradients(params: ModelParams, fusion: FusionParams, p_mat, x, px,
     grads.head_w += fused.T @ d_logits
     grads.head_b += d_logits.sum(axis=0)
     d_fused = np.matmul(d_logits, params.head_w.T, out=fused)  # fused is not read again
-    _gcn_backward(params, p_mat, cache, d_logits if folds_head(params) else d_fused,
+    _gcn_backward(params, p_mat, cache, d_fused if params.activate_final else d_logits,
                   fusion.alpha, grads)
     d_fused *= fusion.beta
     _gt_backward(params, x, fusion.gamma, cache, d_fused, grads)

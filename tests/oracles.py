@@ -312,54 +312,49 @@ def onmi_loop(x, y):
 # handling cannot change a result. The loss head (masks and BCE) is the
 # package's own; it is tested on its own.
 
-def gcn_forward_reference(params, p_mat, px, cache=None, head=None):
-    """GCN branch over ``px = p_mat @ x``; caches each layer's input and
-    pre-activation. Given ``head``, the linear last layer is folded into it:
-    the result is ``P (Z (W head)) + b head``, and the cache keeps Z."""
-    n_layers = len(params.gcn_w)
+def gcn_forward_reference(params, p_mat, px, cache=None):
+    """GCN branch over ``px = p_mat @ x``; caches each rectified layer's
+    input and pre-activation. Without activate_final, the linear last layer
+    is folded into the head: the result is ``P (Z (W head)) + b head``, and
+    the cache keeps Z."""
+    n_rectified = len(params.gcn_w) - (0 if params.activate_final else 1)
     if cache is not None:
         cache["gcn_m"] = []
         cache["gcn_pre"] = []
     m = px
-    for l, (w, b) in enumerate(zip(params.gcn_w, params.gcn_b)):
-        if head is not None and l == n_layers - 1:
-            if cache is not None:
-                cache["gcn_z"] = z
-            z = p_mat @ (z @ (w @ head)) + b @ head
-            break
+    for l in range(n_rectified):
         if l > 0:
             m = p_mat @ z
-        pre = m @ w
-        pre += b
+        pre = m @ params.gcn_w[l]
+        pre += params.gcn_b[l]
         if cache is not None:
             cache["gcn_m"].append(m)
             cache["gcn_pre"].append(pre)
-        last = l == n_layers - 1
-        z = pre if (last and not params.activate_final) else np.maximum(pre, 0.0)
+        z = np.maximum(pre, 0.0)
+    if not params.activate_final:
+        if cache is not None:
+            cache["gcn_z"] = z
+        w, b, head = params.gcn_w[-1], params.gcn_b[-1], params.head_w
+        z = p_mat @ (z @ (w @ head)) + b @ head
     if not np.all(np.isfinite(z)):
         raise FloatingPointError("non-finite GCN activations (divergence)")
     return z
 
 
 def _gcn_backward_reference(params, p_mat, cache, d_out, grads):
-    n_layers = len(params.gcn_w)
-    top = n_layers - 1
     d = d_out
-    if "gcn_z" in cache:  # d_out is dL/dlogits of the folded last layer
-        w, b, head = params.gcn_w[top], params.gcn_b[top], params.head_w
+    if not params.activate_final:  # d_out is dL/dlogits of the folded last layer
+        w, b, head = params.gcn_w[-1], params.gcn_b[-1], params.head_w
         e = p_mat @ d
         z_e = cache.pop("gcn_z").T @ e
         d_sum = d.sum(axis=0)
-        grads.gcn_w[top] += z_e @ head.T
-        grads.gcn_b[top] += head @ d_sum
+        grads.gcn_w[-1] += z_e @ head.T
+        grads.gcn_b[-1] += head @ d_sum
         grads.head_w += w.T @ z_e
         grads.head_w += np.outer(b, d_sum)
         d = e @ (w @ head).T
-        top -= 1
-    for l in range(top, -1, -1):
-        pre = cache["gcn_pre"].pop()
-        if l < n_layers - 1 or params.activate_final:
-            d *= pre > 0
+    for l in reversed(range(len(cache["gcn_pre"]))):
+        d *= cache["gcn_pre"].pop() > 0
         grads.gcn_w[l] += cache["gcn_m"].pop().T @ d
         grads.gcn_b[l] += d.sum(axis=0)
         if l > 0:
@@ -464,24 +459,19 @@ def _sigmoid_reference(x):
     return out
 
 
-def _folds_head(params):
-    return not params.activate_final and params.dims[2] < params.dims[1]
-
-
 def predict_reference(params, fusion, p_mat, x, px, cache=None):
     """Fused community probabilities: the GCN branch first, then attention.
-    A linear last GCN layer narrower than h once times the head is folded
-    into it, and the two branches meet in the logits."""
-    fold = _folds_head(params)
-    z_gcn = gcn_forward_reference(params, p_mat, px, cache, params.head_w if fold else None)
+    A linear last GCN layer is folded into the head, and the two branches
+    meet in the logits."""
+    z_gcn = gcn_forward_reference(params, p_mat, px, cache)
     fused = _gt_forward_reference(params, x, fusion.gamma, cache)
     fused *= fusion.beta
-    if fold:
-        logits = fused @ params.head_w
-        logits += fusion.alpha * z_gcn
-    else:
+    if params.activate_final:
         fused += fusion.alpha * z_gcn
         logits = fused @ params.head_w
+    else:
+        logits = fused @ params.head_w
+        logits += fusion.alpha * z_gcn
     logits += params.head_b
     if cache is not None:
         cache["fused"] = fused
@@ -499,7 +489,7 @@ def loss_and_gradients_reference(params, fusion, p_mat, x, px, sampled, pseudo, 
     grads.head_w += cache.pop("fused").T @ d_logits
     grads.head_b += d_logits.sum(axis=0)
     d_fused = d_logits @ params.head_w.T
-    d_gcn = d_logits if _folds_head(params) else d_fused
+    d_gcn = d_fused if params.activate_final else d_logits
     _gcn_backward_reference(params, p_mat, cache, fusion.alpha * d_gcn, grads)
     d_fused *= fusion.beta
     _gt_backward_reference(params, x, fusion.gamma, cache, d_fused, grads)
