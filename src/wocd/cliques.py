@@ -108,11 +108,11 @@ def _clique_incidence(closed: sp.csr_array, seed_u: np.ndarray, seed_v: np.ndarr
 def identify_weak_cliques(graph: Graph) -> CliqueSet:
     """Greedy weak-clique extraction.
 
-    Repeatedly starts from the remaining node with the highest priority,
-    pairs it with its most Salton-similar neighbor (already-consumed
-    neighbors stay eligible), records the weak clique, and retires both
-    endpoints as future starting points. Ties break toward the smaller id.
-    Isolated nodes are retired without emitting anything.
+    One pass over the nodes that have edges, in descending priority with
+    ties toward the smaller id: a node not yet taken starts a weak clique
+    with its most Salton-similar neighbor (already-taken neighbors stay
+    eligible), and that neighbor is taken, so it starts none later.
+    Isolated nodes are never visited and emit nothing.
 
     The common-neighbor counts take O(sum of squared degrees) work, spread
     over every CPU, and each worker's block product holds at most
@@ -125,26 +125,24 @@ def identify_weak_cliques(graph: Graph) -> CliqueSet:
     priority, si = _scores(adj, closed, deg, src)
 
     # each node's partner is its first (smallest-id) most Salton-similar
-    # neighbor; consumed neighbors stay eligible, so it is fixed up front
+    # neighbor; taken neighbors stay eligible, so it is fixed up front
     partner = np.full(n, -1, dtype=np.int64)
-    linked = deg > 0  # reduceat mishandles the empty segments of isolated nodes
+    linked = np.flatnonzero(deg)  # reduceat mishandles the empty segments of isolated nodes
     row_max = np.zeros(n)
-    row_max[linked] = np.maximum.reduceat(si, graph.indptr[:-1][linked])
+    row_max[linked] = np.maximum.reduceat(si, graph.indptr[linked])
     hits = np.flatnonzero(si == row_max[src])
     rows, first = np.unique(src[hits], return_index=True)
     partner[rows] = graph.indices[hits[first]]
 
-    # priorities are fixed, so a single descending sort (smallest id first
-    # among ties) enumerates argmax picks; isolated nodes emit nothing
-    order = np.lexsort((np.arange(n), -priority))
-    remaining = linked.tolist()
-    partner_of = partner.tolist()
-    seeds = []
-    for u in order.tolist():
-        if remaining[u]:
-            v = partner_of[u]
+    # priorities are fixed, so one stable descending sort of the linked ids
+    # (smallest id first among ties) enumerates the argmax picks; each node
+    # comes up once, so it starts a clique unless an earlier start took it
+    order = linked[np.argsort(-priority[linked], kind="stable")]
+    seeds, taken = [], set()
+    for u, v in zip(order.tolist(), partner[order].tolist()):
+        if u not in taken:
             seeds.append(u)
-            remaining[u] = remaining[v] = False
+            taken.add(v)
 
     seed_u = np.array(seeds, dtype=np.int64)
     seed_v = partner[seed_u]

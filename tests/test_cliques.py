@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -99,6 +101,23 @@ class TestIdentifyWeakCliques:
     def test_edgeless(self):
         out = identify_weak_cliques(Graph.from_edges([], 5))
         assert len(out) == 0
+
+    def test_peak_memory_with_isolated_nodes(self):
+        # one edge among 10**5 declared nodes: the scan's per-node arrays read
+        # about 68 bytes a node; a Python list or loop over every node, isolated
+        # ones included, read about 117
+        n = 10**5
+        g = Graph.from_edges([(0, 1)], n)
+        identify_weak_cliques(g)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = identify_weak_cliques(g)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert out.seed_u.tolist() == [0] and out.seed_v.tolist() == [1]
+        assert peak / n <= 90
 
     @pytest.mark.parametrize("pairs, n", [
         ([], 0),

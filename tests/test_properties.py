@@ -109,6 +109,17 @@ class TestWeakCliques:
                for r in identify_weak_cliques(g).cliques]
         assert got == weak_cliques_reference(graph_to_adj(g))
 
+    @SETTINGS
+    @given(edge_lists(max_nodes=14), st.integers(1, 20))
+    def test_isolated_tail_changes_nothing(self, case, extra):
+        pairs, n = case
+        a = identify_weak_cliques(Graph.from_edges(pairs, n))
+        b = identify_weak_cliques(Graph.from_edges(pairs, n + extra))
+        assert np.array_equal(a.seed_u, b.seed_u) and np.array_equal(a.seed_v, b.seed_v)
+        assert np.array_equal(a.incidence.indptr, b.incidence.indptr)
+        assert np.array_equal(a.incidence.indices, b.incidence.indices)
+        assert b.incidence.shape == (len(a), n + extra)
+
 
 def _mostly(good, bad):
     """A value from ``good``, or one time in eight from ``bad``."""
